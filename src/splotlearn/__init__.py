@@ -21,7 +21,7 @@ from .density import (
 )
 from .splot import SWeightTable, compute_sweights, compute_vinv, fit_yields
 from .losses import LossEval, LossKind, constrained_mse, exact_likelihood, plain_ce, weighted_ce
-from .model import AdamConfig, Mlp, MlpConfig, TrainingDiverged, TrainReport, train
+from .model import METHOD_KINDS, AdamConfig, Mlp, MlpConfig, TrainingDiverged, TrainReport, train, train_arm
 from .data import CsvSchema, CwolaLabeling, Dataset, attach_sweights, cwola_label, generate_synthetic, ingest_csv, split
 from .evaluation import RocResult, learning_curve, roc_auc, size_sweep
 
@@ -33,6 +33,7 @@ __all__ = [
     "Density1D",
     "LossEval",
     "LossKind",
+    "METHOD_KINDS",
     "MixtureDensity",
     "MixtureModel",
     "Mlp",
@@ -62,5 +63,6 @@ __all__ = [
     "size_sweep",
     "split",
     "train",
+    "train_arm",
     "weighted_ce",
 ]

@@ -21,19 +21,22 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from types import UnionType
+from typing import NamedTuple, get_args, get_origin
 
 import numpy as np
 import scipy
 
 from . import __version__, evaluation
-from .data import DataError, Dataset, CsvSchema, attach_sweights, cwola_label, generate_synthetic, ingest_csv, split
+from .data import DataError, Dataset, CsvSchema, attach_sweights, generate_synthetic, ingest_csv, split
 from .density import Density1D, MixtureModel, TruncatedExponential, TruncatedGaussian, Uniform
-from .losses import LossInputError, LossKind
-from .model import AdamConfig, Mlp, MlpConfig, TrainingDiverged, TrainReport, train
+from .losses import LossInputError
+from .model import METHOD_KINDS, AdamConfig, Mlp, MlpConfig, TrainReport, train_arm
 from .splot import SplotError, compute_sweights
 
 
@@ -41,69 +44,142 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field path."""
 
 
-METHOD_KINDS = {
-    "true_labels": LossKind.PLAIN_CE,
-    "constrained_mse": LossKind.CONSTRAINED_MSE,
-    "exact_likelihood": LossKind.EXACT_LIKELIHOOD,
-    "weighted_ce": LossKind.WEIGHTED_CE,
-    "cwola": LossKind.PLAIN_CE,
-}
-
 ALL_METHODS = list(METHOD_KINDS)
 
 
 # ---------------------------------------------------------------------------
 # config parsing
 
-
-def _check_keys(d, allowed, path):
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path}: expected an object")
-    for k in d:
-        if k not in allowed:
-            raise ConfigError(f"{path}.{k}: unknown key")
+REQUIRED = object()
 
 
-def _number(d, key, path, default=None, lo=None, hi=None, lo_open=False, hi_open=False):
-    if key not in d:
-        if default is None:
-            raise ConfigError(f"{path}.{key}: required")
-        return default
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {v!r}")
-    v = float(v)
-    if lo is not None and (v <= lo if lo_open else v < lo):
-        raise ConfigError(f"{path}.{key}: must be {'>' if lo_open else '>='} {lo}, got {v}")
-    if hi is not None and (v >= hi if hi_open else v > hi):
-        raise ConfigError(f"{path}.{key}: must be {'<' if hi_open else '<='} {hi}, got {v}")
-    return v
+class Shape:
+    """Table type of a density: its ``kind`` picks a row of ``SHAPES``."""
 
 
-def _integer(d, key, path, default=None, lo=None):
-    v = _number(d, key, path, default=default, lo=lo)
-    if v != int(v):
-        raise ConfigError(f"{path}.{key}: expected an integer, got {v}")
-    return int(v)
+class Key(NamedTuple):
+    """One config key.
+
+    ``type`` is ``float``, ``int``, ``str``, ``Shape``, a nested table,
+    ``list[T]`` (one or more entries, or none where the default is empty),
+    ``tuple[T, T]`` (exactly two entries) or ``T | None``.  A number, and
+    each number in a list, must lie in ``bounds``, so it is always finite.
+    An absent key takes its default; an absent table whose default is None
+    stays None.
+    """
+
+    type: object
+    default: object = REQUIRED
+    bounds: str = "(-inf, inf)"
 
 
-def _build_shape(spec, support, path) -> Density1D:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"{path}: expected an object with a 'kind'")
-    kind = spec["kind"]
-    lo, hi = support
-    if kind == "gaussian":
-        _check_keys(spec, {"kind", "mu", "sigma"}, path)
-        mu = _number(spec, "mu", path)
-        sigma = _number(spec, "sigma", path, lo=0, lo_open=True)
-        return TruncatedGaussian(mu, sigma, lo, hi)
-    if kind == "exponential":
-        _check_keys(spec, {"kind", "rate"}, path)
-        return TruncatedExponential(_number(spec, "rate", path, lo=0, lo_open=True), lo, hi)
-    if kind == "uniform":
-        _check_keys(spec, {"kind"}, path)
-        return Uniform(lo, hi)
-    raise ConfigError(f"{path}.kind: unknown density kind {kind!r}")
+# kind -> (constructor taking the parameters in table order, then lo and hi; parameter table)
+SHAPES = {
+    "gaussian": (TruncatedGaussian, {"mu": Key(float), "sigma": Key(float, bounds="(0, inf)")}),
+    "exponential": (TruncatedExponential, {"rate": Key(float, bounds="(0, inf)")}),
+    "uniform": (Uniform, {}),
+}
+
+CONFIG = {
+    "data": Key({
+        "synthetic": Key({
+            "n": Key(int, bounds="[2, inf)"),
+            "signal_fraction": Key(float, bounds="(0, 1)"),
+            "n_features": Key(int, 5, "[1, inf)"),
+            "feature_scale": Key(float, 1.0, "(0, inf)"),
+        }, None),
+        "csv": Key({
+            "path": Key(str),
+            "mass_column": Key(str),
+            "label_column": Key(str | None, None),
+            "feature_columns": Key(list[str] | None, None),
+        }, None),
+    }),
+    "mixture": Key({
+        "support": Key(tuple[float, float], [0.0, 8.0]),
+        "signal": Key(Shape, {"kind": "gaussian", "mu": 4.0, "sigma": 1.0}),
+        "background": Key(Shape, {"kind": "exponential", "rate": 0.4}),
+        "init_yields": Key(tuple[float, float], [0.5, 0.5], "(0, inf)"),
+    }, {}),
+    "methods": Key(list[str], ["true_labels", "constrained_mse", "exact_likelihood", "cwola"]),
+    "model": Key({
+        "hidden": Key(list[int], [64, 32, 16], "[1, inf)"),
+        "leaky_slope": Key(float, 0.05, "(0, 1)"),
+        "l2_coefficient": Key(float, 0.0, "[0, inf)"),
+    }, {}),
+    "training": Key({
+        "learning_rate": Key(float, 2e-4, "[0, inf)"),
+        "beta1": Key(float, 0.9, "[0, 1)"),
+        "beta2": Key(float, 0.999, "[0, 1)"),
+        "epsilon": Key(float, 1e-8, "(0, inf)"),
+        "batch_size": Key(int, 128, "[1, inf)"),
+        "total_steps": Key(int, 20_000, "[0, inf)"),
+        "eval_every": Key(int, 500, "[1, inf)"),
+    }, {}),
+    "split": Key({"test_fraction": Key(float, 0.25, "(0, 1)")}, {}),
+    "cwola": Key({"center": Key(float, 4.0), "inside_fraction": Key(float, 0.5, "(0, 1)")}, {}),
+    "sizes": Key(list[int], [], "[2, inf)"),
+    "seeds": Key(list[int], [0], "[0, inf)"),
+    "sweep": Key({"test_n": Key(int, 20_000, "[2, inf)")}, {}),
+    "output_dir": Key(str, "out"),
+}
+
+
+def _within(x: float, bounds: str) -> bool:
+    lo, hi = (float(b) for b in bounds[1:-1].split(","))
+    return (lo < x if bounds[0] == "(" else lo <= x) and (x < hi if bounds[-1] == ")" else x <= hi)
+
+
+def _walk(value, key: Key, path: str):
+    """``value`` checked against ``key``, with every absent key of a nested table filled by its default."""
+    t = key.type
+    if isinstance(t, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path}: expected an object, got {value!r}")
+        for k in value:
+            if k not in t:
+                raise ConfigError(f"{path}.{k}: unknown key")
+        out = {}
+        for k, sub in t.items():
+            v = value.get(k, sub.default)
+            if v is REQUIRED:
+                raise ConfigError(f"{path}.{k}: required")
+            out[k] = None if v is None and k not in value else _walk(v, sub, f"{path}.{k}")
+        return out
+    if t is Shape:
+        if not isinstance(value, dict) or "kind" not in value:
+            raise ConfigError(f"{path}: expected an object with a 'kind', got {value!r}")
+        kind = value["kind"]
+        if not isinstance(kind, str) or kind not in SHAPES:
+            raise ConfigError(f"{path}.kind: unknown density kind {kind!r}")
+        return _walk(value, Key({"kind": Key(str), **SHAPES[kind][1]}), path)
+    origin, args = get_origin(t), get_args(t)
+    if origin is UnionType:  # T | None
+        return None if value is None else _walk(value, key._replace(type=args[0]), path)
+    if origin in (list, tuple):
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        if origin is tuple and len(value) != len(args):
+            raise ConfigError(f"{path}: expected {len(args)} entries, got {len(value)}")
+        if not value and key.default != []:
+            raise ConfigError(f"{path}: expected a non-empty list")
+        item = key._replace(type=args[0])
+        return origin(_walk(v, item, f"{path}[{i}]") for i, v in enumerate(value))
+    if t is str:
+        if not isinstance(value, str):
+            raise ConfigError(f"{path}: expected a string, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        x = math.inf if value > 0 else -math.inf
+    if not _within(x, key.bounds):
+        raise ConfigError(f"{path}: must lie in {key.bounds}, got {value!r}")
+    if t is int and value != int(value):
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    return t(value)
 
 
 @dataclass
@@ -130,96 +206,35 @@ class ExperimentConfig:
     output_dir: str
 
     def mixture(self, n_events: float) -> MixtureModel:
-        return MixtureModel(
-            [self.signal_shape, self.background_shape],
-            self.init_yield_fractions * n_events,
-        )
+        return MixtureModel([self.signal_shape, self.background_shape], self.init_yield_fractions * n_events)
 
     def mlp_config(self, input_dim: int, seed: int) -> MlpConfig:
         return MlpConfig(
-            input_dim=input_dim,
-            hidden=self.hidden,
-            leaky_slope=self.leaky_slope,
-            seed=seed,
-            l2_coefficient=self.l2_coefficient,
+            input_dim=input_dim, hidden=self.hidden, leaky_slope=self.leaky_slope, seed=seed, l2_coefficient=self.l2_coefficient
         )
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    _check_keys(
-        raw,
-        {"data", "mixture", "methods", "model", "training", "split", "cwola", "sizes", "seeds", "sweep", "output_dir"},
-        "config",
-    )
-
-    if "data" not in raw:
-        raise ConfigError("config.data: required")
-    data = raw["data"]
-    _check_keys(data, {"synthetic", "csv"}, "config.data")
-    if ("synthetic" in data) == ("csv" in data):
+    """Check ``raw`` against ``CONFIG``, fill in its defaults, then apply the rules that span keys."""
+    c = _walk(raw, Key(CONFIG), "config")
+    synthetic, csv_spec = c["data"]["synthetic"], c["data"]["csv"]
+    if (synthetic is None) == (csv_spec is None):
         raise ConfigError("config.data: exactly one of 'synthetic' or 'csv' required")
-    synthetic = csv_spec = None
-    if "synthetic" in data:
-        synthetic = data["synthetic"]
-        _check_keys(synthetic, {"n", "signal_fraction", "n_features"}, "config.data.synthetic")
-        synthetic = {
-            "n": _integer(synthetic, "n", "config.data.synthetic", lo=2),
-            "signal_fraction": _number(
-                synthetic, "signal_fraction", "config.data.synthetic", lo=0, hi=1, lo_open=True, hi_open=True
-            ),
-            "n_features": _integer(synthetic, "n_features", "config.data.synthetic", default=5, lo=1),
-        }
-    else:
-        csv_spec = data["csv"]
-        _check_keys(csv_spec, {"path", "mass_column", "label_column", "feature_columns"}, "config.data.csv")
-        if "path" not in csv_spec or not isinstance(csv_spec["path"], str):
-            raise ConfigError("config.data.csv.path: required string")
-        if "mass_column" not in csv_spec or not isinstance(csv_spec["mass_column"], str):
-            raise ConfigError("config.data.csv.mass_column: required string")
-        label = csv_spec.get("label_column")
-        if label is not None and not isinstance(label, str):
-            raise ConfigError("config.data.csv.label_column: expected a string or null")
-        feats = csv_spec.get("feature_columns")
-        if feats is not None and not (isinstance(feats, list) and all(isinstance(c, str) for c in feats)):
-            raise ConfigError("config.data.csv.feature_columns: expected a list of strings or null")
-        csv_spec = {
-            "path": csv_spec["path"],
-            "mass_column": csv_spec["mass_column"],
-            "label_column": label,
-            "feature_columns": tuple(feats) if feats is not None else None,
-        }
 
-    mixture = raw.get("mixture", {})
-    _check_keys(mixture, {"support", "signal", "background", "init_yields"}, "config.mixture")
-    support_raw = mixture.get("support", [0.0, 8.0])
-    if not (isinstance(support_raw, list) and len(support_raw) == 2):
-        raise ConfigError("config.mixture.support: expected [lo, hi]")
-    support = (float(support_raw[0]), float(support_raw[1]))
-    if not support[0] < support[1]:
-        raise ConfigError(f"config.mixture.support: requires lo < hi, got {support_raw}")
-    try:
-        signal_shape = _build_shape(
-            mixture.get("signal", {"kind": "gaussian", "mu": 4.0, "sigma": 1.0}), support, "config.mixture.signal"
-        )
-        background_shape = _build_shape(
-            mixture.get("background", {"kind": "exponential", "rate": 0.4}), support, "config.mixture.background"
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"config.mixture: {exc}") from None
-    init_yields = mixture.get("init_yields", [0.5, 0.5])
-    if not (isinstance(init_yields, list) and len(init_yields) == 2):
-        raise ConfigError("config.mixture.init_yields: expected two entries")
-    for i, v in enumerate(init_yields):
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0:
-            raise ConfigError(f"config.mixture.init_yields[{i}]: must be a positive number, got {v!r}")
-    fracs = np.asarray(init_yields, dtype=float)
-    fracs = fracs / fracs.sum()
+    mixture = c["mixture"]
+    lo, hi = mixture["support"]
+    if not lo < hi:
+        raise ConfigError(f"config.mixture.support: requires lo < hi, got {[lo, hi]}")
+    shapes = []
+    for name in ("signal", "background"):
+        spec = mixture[name]
+        ctor, params = SHAPES[spec["kind"]]
+        try:
+            shapes.append(ctor(*(spec[p] for p in params), lo, hi))
+        except ValueError as exc:
+            raise ConfigError(f"config.mixture.{name}: {exc}") from None
 
-    methods = raw.get("methods", ["true_labels", "constrained_mse", "exact_likelihood", "cwola"])
-    if not (isinstance(methods, list) and methods):
-        raise ConfigError("config.methods: expected a non-empty list")
+    methods = c["methods"]
     for m in methods:
         if m not in METHOD_KINDS:
             raise ConfigError(f"config.methods: unknown method {m!r} (choose from {ALL_METHODS})")
@@ -227,92 +242,19 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("config.methods: duplicate entries")
     if csv_spec is not None and csv_spec["label_column"] is None and "true_labels" in methods:
         raise ConfigError("config.methods: 'true_labels' needs config.data.csv.label_column")
-
-    model = raw.get("model", {})
-    _check_keys(model, {"hidden", "leaky_slope", "l2_coefficient"}, "config.model")
-    hidden_raw = model.get("hidden", [64, 32, 16])
-    if not (isinstance(hidden_raw, list) and hidden_raw):
-        raise ConfigError("config.model.hidden: expected a non-empty list")
-    for i, h in enumerate(hidden_raw):
-        if isinstance(h, bool) or not isinstance(h, int) or h < 1:
-            raise ConfigError(f"config.model.hidden[{i}]: must be a positive integer, got {h!r}")
-    leaky_slope = _number(model, "leaky_slope", "config.model", default=0.05, lo=0, hi=1, lo_open=True, hi_open=True)
-    l2 = _number(model, "l2_coefficient", "config.model", default=0.0, lo=0)
-
-    training = raw.get("training", {})
-    _check_keys(
-        training,
-        {"learning_rate", "beta1", "beta2", "epsilon", "batch_size", "total_steps", "eval_every"},
-        "config.training",
-    )
-    adam = AdamConfig(
-        learning_rate=_number(training, "learning_rate", "config.training", default=2e-4, lo=0),
-        beta1=_number(training, "beta1", "config.training", default=0.9, lo=0, hi=1, hi_open=True),
-        beta2=_number(training, "beta2", "config.training", default=0.999, lo=0, hi=1, hi_open=True),
-        epsilon=_number(training, "epsilon", "config.training", default=1e-8, lo=0, lo_open=True),
-        batch_size=_integer(training, "batch_size", "config.training", default=128, lo=1),
-        total_steps=_integer(training, "total_steps", "config.training", default=20_000, lo=0),
-    )
-    eval_every = _integer(training, "eval_every", "config.training", default=500, lo=1)
-
-    split_cfg = raw.get("split", {})
-    _check_keys(split_cfg, {"test_fraction"}, "config.split")
-    test_fraction = _number(split_cfg, "test_fraction", "config.split", default=0.25, lo=0, hi=1, lo_open=True, hi_open=True)
-
-    cwola = raw.get("cwola", {})
-    _check_keys(cwola, {"center", "inside_fraction"}, "config.cwola")
-    cwola_center = _number(cwola, "center", "config.cwola", default=4.0)
-    cwola_fraction = _number(cwola, "inside_fraction", "config.cwola", default=0.5, lo=0, hi=1, lo_open=True, hi_open=True)
-
-    sizes_raw = raw.get("sizes", [])
-    if not isinstance(sizes_raw, list):
-        raise ConfigError("config.sizes: expected a list")
-    sizes = []
-    for i, s in enumerate(sizes_raw):
-        if isinstance(s, bool) or not isinstance(s, int) or s < 2:
-            raise ConfigError(f"config.sizes[{i}]: must be an integer >= 2, got {s!r}")
-        sizes.append(s)
-    if sizes != sorted(sizes):
+    if c["sizes"] != sorted(c["sizes"]):
         raise ConfigError("config.sizes: must be ascending")
 
-    seeds_raw = raw.get("seeds", [0])
-    if not (isinstance(seeds_raw, list) and seeds_raw):
-        raise ConfigError("config.seeds: expected a non-empty list")
-    seeds = []
-    for i, s in enumerate(seeds_raw):
-        if isinstance(s, bool) or not isinstance(s, int) or s < 0:
-            raise ConfigError(f"config.seeds[{i}]: must be a non-negative integer, got {s!r}")
-        seeds.append(s)
-
-    sweep_cfg = raw.get("sweep", {})
-    _check_keys(sweep_cfg, {"test_n"}, "config.sweep")
-    sweep_test_n = _integer(sweep_cfg, "test_n", "config.sweep", default=20_000, lo=2)
-
-    output_dir = raw.get("output_dir", "out")
-    if not isinstance(output_dir, str):
-        raise ConfigError("config.output_dir: expected a string")
-
+    fracs = np.asarray(mixture["init_yields"])
+    model, training = c["model"], c["training"]
+    eval_every = training.pop("eval_every")
     return ExperimentConfig(
-        raw=raw,
-        synthetic=synthetic,
-        csv=csv_spec,
-        support=support,
-        signal_shape=signal_shape,
-        background_shape=background_shape,
-        init_yield_fractions=fracs,
-        methods=list(methods),
-        hidden=tuple(hidden_raw),
-        leaky_slope=leaky_slope,
-        l2_coefficient=l2,
-        adam=adam,
-        eval_every=eval_every,
-        test_fraction=test_fraction,
-        cwola_center=cwola_center,
-        cwola_fraction=cwola_fraction,
-        sizes=sizes,
-        seeds=seeds,
-        sweep_test_n=sweep_test_n,
-        output_dir=output_dir,
+        raw=raw, synthetic=synthetic, csv=csv_spec, support=(lo, hi), signal_shape=shapes[0],
+        background_shape=shapes[1], init_yield_fractions=fracs / fracs.sum(), methods=methods,
+        hidden=tuple(model["hidden"]), leaky_slope=model["leaky_slope"], l2_coefficient=model["l2_coefficient"],
+        adam=AdamConfig(**training), eval_every=eval_every, test_fraction=c["split"]["test_fraction"],
+        cwola_center=c["cwola"]["center"], cwola_fraction=c["cwola"]["inside_fraction"], sizes=c["sizes"],
+        seeds=c["seeds"], sweep_test_n=c["sweep"]["test_n"], output_dir=c["output_dir"],
     )
 
 
@@ -331,42 +273,26 @@ def load_config(path) -> ExperimentConfig:
 # pipeline pieces
 
 
-def _load_dataset(cfg: ExperimentConfig, seed: int) -> Dataset:
+def _load_dataset(cfg: ExperimentConfig, seed: int) -> tuple[Dataset, dict]:
+    """The configured events, with the counts of input rows read and rejected."""
     if cfg.synthetic is not None:
-        return generate_synthetic(
-            cfg.synthetic["n"], cfg.synthetic["signal_fraction"], seed, n_features=cfg.synthetic["n_features"]
-        )
+        ds = generate_synthetic(seed=seed, **cfg.synthetic)
+        return ds, {"n_rows_read": ds.n, "n_rows_rejected": 0}
     schema = CsvSchema(
         mass=cfg.csv["mass_column"], label=cfg.csv["label_column"], features=cfg.csv["feature_columns"]
     )
-    ds, _report = ingest_csv(cfg.csv["path"], schema)
-    return ds
+    ds, report = ingest_csv(cfg.csv["path"], schema)
+    return ds, {"n_rows_read": report.n_rows_read, "n_rows_rejected": report.n_rejected}
 
 
 def _train_method(cfg: ExperimentConfig, method: str, train_ds: Dataset, test_ds: Dataset, seed: int):
-    """One training arm; divergence is recorded on the report, not raised."""
-    kind = METHOD_KINDS[method]
-    auc_labels = test_ds.y
-    if method == "cwola":
-        # region labels drive the loss; AUC is still scored against true labels
-        labeling = cwola_label(train_ds, cfg.cwola_center, cfg.cwola_fraction)
-        train_ds = train_ds.with_columns(y=labeling.labels)
-        test_ds = test_ds.with_columns(y=labeling.apply(test_ds.m))
+    """One training arm from the config; returns the model, its report and the initial-parameter checksum."""
     model = Mlp(cfg.mlp_config(train_ds.X.shape[1], seed))
     init_sha = hashlib.sha256(model.theta.tobytes()).hexdigest()
-    try:
-        report = train(
-            model,
-            train_ds,
-            kind,
-            cfg.adam,
-            eval_every=cfg.eval_every,
-            test=test_ds,
-            auc_labels=auc_labels,
-            method_name=method,
-        )
-    except TrainingDiverged as exc:
-        report = exc.report
+    report = train_arm(
+        method, model, train_ds, test_ds, cfg.adam,
+        eval_every=cfg.eval_every, cwola_center=cfg.cwola_center, cwola_fraction=cfg.cwola_fraction,
+    )
     return model, report, init_sha
 
 
@@ -392,9 +318,7 @@ def _write_manifest(out_dir: Path, command: str, cfg: ExperimentConfig, seeds: l
         "artifacts": {p.name: _sha256_file(p) for p in artifacts},
     }
     path = out_dir / "manifest.json"
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(manifest, f, sort_keys=True, indent=2)
-        f.write("\n")
+    _json_dump(manifest, path)
     return path
 
 
@@ -419,7 +343,7 @@ def _divergence_flags(report: TrainReport) -> dict:
 
 def _run_training_stage(cfg: ExperimentConfig, out_dir: Path, seed: int, methods: list[str]):
     """Shared by run and demo-divergence: data -> sWeights -> one model per method."""
-    ds = _load_dataset(cfg, seed)
+    ds, rows = _load_dataset(cfg, seed)
     train_raw, test_raw = split(ds, cfg.test_fraction, seed)
     mm_train = cfg.mixture(train_raw.n)
     train_ds, train_table = attach_sweights(train_raw, mm_train)
@@ -431,6 +355,7 @@ def _run_training_stage(cfg: ExperimentConfig, out_dir: Path, seed: int, methods
     artifacts.append(sweights_path)
 
     summary = {
+        **rows,
         "n_total": ds.n,
         "n_train": train_ds.n,
         "n_test": test_ds.n,
@@ -467,14 +392,12 @@ def _run_training_stage(cfg: ExperimentConfig, out_dir: Path, seed: int, methods
 def _sweep_cell(cfg: ExperimentConfig, size: int, method: str, seed: int):
     """Train one sweep cell; returns the final test AUC or None on divergence."""
     if cfg.synthetic is not None:
-        frac = cfg.synthetic["signal_fraction"]
-        nf = cfg.synthetic["n_features"]
         test_seed = int(np.random.SeedSequence([seed, 0x7E57]).generate_state(1)[0])
         train_seed = int(np.random.SeedSequence([seed, size]).generate_state(1)[0])
-        test_raw = generate_synthetic(cfg.sweep_test_n, frac, test_seed, n_features=nf)
-        train_raw = generate_synthetic(size, frac, train_seed, n_features=nf)
+        test_raw = generate_synthetic(seed=test_seed, **{**cfg.synthetic, "n": cfg.sweep_test_n})
+        train_raw = generate_synthetic(seed=train_seed, **{**cfg.synthetic, "n": size})
     else:
-        ds = _load_dataset(cfg, seed)
+        ds, _ = _load_dataset(cfg, seed)
         train_pool, test_raw = split(ds, cfg.test_fraction, seed)
         if size > train_pool.n:
             raise DataError(f"sweep size {size} exceeds available train events {train_pool.n}")
@@ -491,8 +414,7 @@ def _sweep_cell(cfg: ExperimentConfig, size: int, method: str, seed: int):
 
 
 def _sweep_cell_star(args):
-    raw, size, method, seed = args
-    return _sweep_cell(parse_config(raw), size, method, seed)
+    return _sweep_cell(*args)
 
 
 def _run_sweep_stage(cfg: ExperimentConfig, out_dir: Path, seeds: list[int], threads: int):
@@ -502,7 +424,7 @@ def _run_sweep_stage(cfg: ExperimentConfig, out_dir: Path, seeds: list[int], thr
     cells = [(size, method, seed) for size in sizes for method in cfg.methods for seed in seeds]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_sweep_cell_star, [(cfg.raw, *c) for c in cells]))
+            results = list(pool.map(_sweep_cell_star, [(cfg, *c) for c in cells]))
         lookup = dict(zip(cells, results))
         cell_fn = lambda size, method, seed: lookup[(size, method, seed)]  # noqa: E731
     else:
@@ -549,11 +471,12 @@ def cmd_demo_divergence(cfg: ExperimentConfig, out_dir: Path, threads: int) -> i
 
 def cmd_sweights(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     seed = cfg.seeds[0]
-    ds = _load_dataset(cfg, seed)
+    ds, rows = _load_dataset(cfg, seed)
     table = compute_sweights(ds.m, cfg.mixture(ds.n))
     path = out_dir / "sweights.csv"
     table.to_csv(path)
     summary = {
+        **rows,
         "n_events": ds.n,
         "n_flagged": int(table.flagged_events.size),
         "fitted_yields": [float(v) for v in table.yields],

@@ -11,9 +11,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtr
 
-# evaluate() returns true zeros; the floor is applied only inside log_evaluate().
-LOG_FLOOR = 1e-300
-
 # Events whose mixture denominator falls below this are degenerate and get
 # flagged rather than propagated into downstream matrix sums.
 DENOMINATOR_FLOOR = 1e-300
@@ -72,13 +69,6 @@ class Density1D:
         out = np.zeros_like(arr)
         if np.any(inside):
             out[inside] = self._pdf_inside(arr[inside])
-        return _maybe_scalar(out, scalar)
-
-    def log_evaluate(self, m):
-        """log of ``evaluate(m)`` with values floored at ``LOG_FLOOR``."""
-        arr, scalar = _as_array(m)
-        dens = np.asarray(self.evaluate(arr))
-        out = np.log(np.maximum(dens, LOG_FLOOR))
         return _maybe_scalar(out, scalar)
 
     def cdf(self, m):

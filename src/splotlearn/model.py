@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import cwola_label
 from .evaluation import roc_auc
 from .losses import LossEval, LossInputError, LossKind, constrained_mse, exact_likelihood, plain_ce, weighted_ce
 
@@ -389,3 +390,37 @@ def train(
             record(step)
 
     return make_report()
+
+
+# Loss of each method's training arm; ``cwola`` trains plain cross-entropy on mass-window region labels.
+METHOD_KINDS = {
+    "true_labels": LossKind.PLAIN_CE,
+    "constrained_mse": LossKind.CONSTRAINED_MSE,
+    "exact_likelihood": LossKind.EXACT_LIKELIHOOD,
+    "weighted_ce": LossKind.WEIGHTED_CE,
+    "cwola": LossKind.PLAIN_CE,
+}
+
+
+def train_arm(
+    method: str, model: Mlp, train_ds, test_ds, opt: AdamConfig, *, eval_every: int, cwola_center: float,
+    cwola_fraction: float,
+) -> TrainReport:
+    """Train one method's arm; divergence is recorded on the returned report, not raised.
+
+    For ``cwola`` both splits are relabelled by the mass window around
+    ``cwola_center`` that holds ``cwola_fraction`` of the train events; the
+    test AUC is still scored against the true test labels.
+    """
+    auc_labels = test_ds.y
+    if method == "cwola":
+        labeling = cwola_label(train_ds, cwola_center, cwola_fraction)
+        train_ds = train_ds.with_columns(y=labeling.labels)
+        test_ds = test_ds.with_columns(y=labeling.apply(test_ds.m))
+    try:
+        return train(
+            model, train_ds, METHOD_KINDS[method], opt,
+            eval_every=eval_every, test=test_ds, auc_labels=auc_labels, method_name=method,
+        )
+    except TrainingDiverged as exc:
+        return exc.report

@@ -16,8 +16,8 @@ from scipy.stats import chi2
 import splotlearn as sl
 from splotlearn.cli import main as cli_main
 from splotlearn.evaluation import roc_auc, size_sweep
-from splotlearn.losses import LossKind, constrained_mse, exact_likelihood, plain_ce, weighted_ce
-from splotlearn.model import AdamConfig, Mlp, MlpConfig, TrainingDiverged, train
+from splotlearn.losses import constrained_mse, exact_likelihood, plain_ce, weighted_ce
+from splotlearn.model import AdamConfig, Mlp, MlpConfig
 from splotlearn.splot import compute_sweights, conditional_sweight_check
 
 N_EVENTS = 100_000
@@ -204,15 +204,6 @@ BENCH_HIDDEN = (64, 32, 16)
 BENCH_STEPS = 20_000
 BENCH_EVAL_EVERY = 4000
 
-METHOD_KINDS = {
-    "true_labels": LossKind.PLAIN_CE,
-    "constrained_mse": LossKind.CONSTRAINED_MSE,
-    "exact_likelihood": LossKind.EXACT_LIKELIHOOD,
-    "weighted_ce": LossKind.WEIGHTED_CE,
-    "cwola": LossKind.PLAIN_CE,
-}
-
-
 def attach(ds):
     mm = sl.canonical_mixture(ds.n / 2, ds.n / 2)
     out, _ = sl.attach_sweights(ds, mm)
@@ -220,18 +211,11 @@ def attach(ds):
 
 
 def train_arm(method, train_ds, test_ds, *, hidden, steps, eval_every, seed, n_features, l2=0.0):
-    kind = METHOD_KINDS[method]
-    auc_labels = test_ds.y
-    if method == "cwola":
-        labeling = sl.cwola_label(train_ds, 4.0, 0.5)
-        train_ds = train_ds.with_columns(y=labeling.labels)
-        test_ds = test_ds.with_columns(y=labeling.apply(test_ds.m))
     model = Mlp(MlpConfig(input_dim=n_features, hidden=hidden, seed=seed, l2_coefficient=l2))
-    opt = AdamConfig(total_steps=steps)
-    try:
-        return train(model, train_ds, kind, opt, eval_every=eval_every, test=test_ds, auc_labels=auc_labels)
-    except TrainingDiverged as exc:
-        return exc.report
+    return sl.train_arm(
+        method, model, train_ds, test_ds, AdamConfig(total_steps=steps),
+        eval_every=eval_every, cwola_center=4.0, cwola_fraction=0.5,
+    )
 
 
 def test_criterion_6_divergence_reproduction():

@@ -1,12 +1,20 @@
 """Config validation, artifact emission, manifest integrity, exit codes, determinism."""
 
+import dataclasses
 import hashlib
 import json
+import re
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from splotlearn.cli import ConfigError, load_config, main, parse_config
+from splotlearn.cli import CONFIG, SHAPES, ConfigError, Shape, _load_dataset, load_config, main, parse_config
+from splotlearn.data import generate_synthetic
+from splotlearn.density import Density1D
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def base_config(out_dir, n=2500, methods=None, steps=250):
@@ -79,6 +87,107 @@ def test_config_defaults_fill_in(tmp_path):
     assert parsed.adam.batch_size == 128
     assert parsed.hidden == (64, 32, 16)
     assert parsed.support == (0.0, 8.0)
+
+
+# JSON text that Python's json module reads but no config may hold; each
+# case names the field path the error message must carry.
+MALFORMED = [
+    ("config.mixture.support[0]", ["mixture", "support"], '["a", 8]'),
+    ("config.mixture.support[0]", ["mixture", "support"], "[null, 8]"),
+    ("config.data.synthetic.n", ["data", "synthetic", "n"], "1e400"),
+    ("config.training.learning_rate", ["training", "learning_rate"], "1" + "0" * 400),
+    ("config.training.beta1", ["training", "beta1"], "NaN"),
+    ("config.training.learning_rate", ["training", "learning_rate"], "NaN"),
+    ("config.training.epsilon", ["training", "epsilon"], "Infinity"),
+    ("config.data.synthetic.signal_fraction", ["data", "synthetic", "signal_fraction"], "NaN"),
+    ("config.cwola.center", ["cwola", "center"], "NaN"),
+]
+
+
+@pytest.mark.parametrize("field, keys, text", MALFORMED, ids=[f"{c[0]}={c[2][:12]}" for c in MALFORMED])
+def test_malformed_value_exits_2_naming_its_path(tmp_path, capsys, field, keys, text):
+    cfg = base_config(tmp_path / "out")
+    section = cfg
+    for k in keys[:-1]:
+        section = section[k]
+    section[keys[-1]] = "@MALFORMED@"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg).replace('"@MALFORMED@"', text))
+    assert main(["run", "--config", str(path)]) == 2
+    assert re.search(re.escape(field) + ":", capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def _table_paths(table, prefix):
+    """(path, type) of every key in a config table, nested tables and density parameters included."""
+    for name, key in table.items():
+        path = f"{prefix}.{name}"
+        yield path, key.type
+        if isinstance(key.type, dict):
+            yield from _table_paths(key.type, path)
+        elif key.type is Shape:
+            yield from _table_paths(SHAPES[key.default["kind"]][1], path)
+
+
+TABLE_PATHS = list(_table_paths(CONFIG, "config"))
+
+
+@pytest.mark.parametrize("path, type_", TABLE_PATHS, ids=[p for p, _ in TABLE_PATHS])
+def test_every_table_key_rejects_a_wrong_type(tmp_path, path, type_):
+    cfg = base_config(tmp_path / "out")
+    if path.startswith("config.data.csv"):
+        cfg["data"] = {"csv": {"path": "x.csv", "mass_column": "m", "label_column": "y"}}
+    keys = path.split(".")[1:]
+    section = cfg
+    for k in keys[:-1]:
+        section = section.setdefault(k, {})
+    accepts_str = type_ is str or str in getattr(type_, "__args__", ())
+    section[keys[-1]] = 3 if accepts_str else "x"
+    with pytest.raises(ConfigError, match=re.escape(path) + ":"):
+        parse_config(cfg)
+
+
+def readme_configs():
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), flags=re.S)
+    assert len(blocks) == 2
+    return [json.loads(b) for b in blocks]
+
+
+def _comparable(v):
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    if isinstance(v, Density1D):
+        return type(v).__name__, {k: _comparable(x) for k, x in vars(v).items()}
+    return v
+
+
+def test_readme_configs_parse():
+    for raw in readme_configs():
+        parse_config(raw)
+
+
+def test_readme_example_shows_the_defaults():
+    example = readme_configs()[0]
+    full = parse_config(example)
+    minimal = parse_config({"data": example["data"]})
+    for f in dataclasses.fields(full):
+        if f.name != "raw":
+            assert _comparable(getattr(full, f.name)) == _comparable(getattr(minimal, f.name)), f.name
+
+
+def test_readme_example_runs(tmp_path):
+    # the full example trains for minutes; its sweights command runs the same parse and data path
+    path = write_config(tmp_path, readme_configs()[0])
+    assert main(["sweights", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "sweights_summary.json").read_text())
+    assert summary["n_events"] == summary["n_rows_read"] == 100_000
+
+
+def test_feature_scale_reaches_the_generator(tmp_path):
+    cfg = base_config(tmp_path / "out", n=500)
+    cfg["data"]["synthetic"]["feature_scale"] = 2.5
+    ds, _ = _load_dataset(parse_config(cfg), 3)
+    np.testing.assert_array_equal(ds.X, generate_synthetic(500, 0.5, 3, n_features=5, feature_scale=2.5).X)
 
 
 def test_invalid_json_exit_code(tmp_path):
@@ -217,6 +326,7 @@ def test_sweights_command(tmp_path):
     assert len(lines) == 2001
     summary = json.loads((out_dir / "sweights_summary.json").read_text())
     assert summary["n_events"] == 2000
+    assert summary["n_rows_read"] == 2000 and summary["n_rows_rejected"] == 0
     # per-event weights sum to one after the in-run yield fit
     row = [float(v) for v in lines[1].split(",")[1:]]
     assert abs(sum(row) - 1.0) < 1e-6
@@ -247,6 +357,36 @@ def test_sweep_command(tmp_path):
     assert len(rows) == 1 + 2 * 1 * 2  # sizes x methods x seeds
     assert (out_dir / "sweep_summary.csv").exists()
     assert (out_dir / "sweep.svg").exists()
+
+
+def test_sweep_threads_write_the_same_bytes(tmp_path):
+    cfg = base_config(tmp_path / "out", n=600, steps=60, methods=["constrained_mse", "cwola"])
+    cfg["sizes"] = [200, 400]
+    cfg["seeds"] = [0, 1]
+    cfg["sweep"] = {"test_n": 400}
+    path = write_config(tmp_path, cfg)
+    for threads in ("1", "2"):
+        assert main(["sweep", "--config", str(path), "--threads", threads, "--out", str(tmp_path / threads)]) == 0
+    for name in ["sweep.csv", "sweep_summary.csv", "sweep.svg", "manifest.json"]:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+
+
+def test_csv_rejected_rows_are_counted(tmp_path):
+    ds = generate_synthetic(800, 0.5, 5, n_features=2)
+    rows = [[repr(m), str(y), *map(repr, x)] for m, y, x in zip(ds.m.tolist(), ds.y.tolist(), ds.X.tolist())]
+    rows[9][2] = "nan"  # a feature
+    rows[19][0] = "inf"  # the mass
+    (tmp_path / "events.csv").write_text("\n".join(["mass,label,a,b"] + [",".join(r) for r in rows]) + "\n")
+    cfg = base_config(tmp_path / "out", steps=20, methods=["constrained_mse", "true_labels"])
+    cfg["data"] = {"csv": {"path": str(tmp_path / "events.csv"), "mass_column": "mass", "label_column": "label"}}
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+    assert main(["sweights", "--config", str(path), "--out", str(tmp_path / "sw")]) == 0
+    for summary_path in [tmp_path / "run" / "dataset_summary.json", tmp_path / "sw" / "sweights_summary.json"]:
+        summary = json.loads(summary_path.read_text())
+        assert summary["n_rows_read"] == 800
+        assert summary["n_rows_rejected"] == 2
+    assert json.loads((tmp_path / "run" / "dataset_summary.json").read_text())["n_total"] == 798
 
 
 def test_sweep_without_sizes_is_config_error(tmp_path):

@@ -6,7 +6,6 @@ from scipy.integrate import quad
 from scipy.stats import chi2
 
 from splotlearn.density import (
-    LOG_FLOOR,
     MixtureDensity,
     MixtureModel,
     TruncatedExponential,
@@ -96,20 +95,6 @@ def test_normalization_by_fixed_grid_quadrature():
         grid = np.linspace(lo, hi, 10_000)
         integral = np.trapezoid(np.asarray(d.evaluate(grid)), grid)
         assert abs(integral - 1.0) < 1e-6, (d, integral)
-
-
-def test_log_evaluate_consistency():
-    grid = np.linspace(0.0, 8.0, 2001)
-    for d in builtin_densities():
-        dens = np.asarray(d.evaluate(grid))
-        logd = np.asarray(d.log_evaluate(grid))
-        mask = dens > 1e-290
-        np.testing.assert_allclose(logd[mask], np.log(dens[mask]), rtol=1e-12)
-
-
-def test_log_evaluate_floor_outside_support():
-    d = Uniform(0.0, 8.0)
-    assert d.log_evaluate(9.0) == np.log(LOG_FLOOR)
 
 
 # ---------------------------------------------------------------------------
