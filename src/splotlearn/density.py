@@ -280,10 +280,6 @@ class MixtureModel:
     def n_species(self) -> int:
         return len(self.components)
 
-    @property
-    def total_yield(self) -> float:
-        return float(self.yields.sum())
-
     def with_yields(self, yields) -> "MixtureModel":
         return MixtureModel(self.components, yields, names=self.names)
 

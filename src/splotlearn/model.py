@@ -113,11 +113,8 @@ class Mlp:
     def __init__(self, cfg: MlpConfig):
         self.cfg = cfg
         self.dims = (cfg.input_dim, *cfg.hidden, 1)
-        shapes = []
-        for fan_in, fan_out in zip(self.dims[:-1], self.dims[1:]):
-            shapes.append((fan_in, fan_out))
-        self._shapes = shapes
-        self.n_params = sum(fi * fo + fo for fi, fo in shapes)
+        self._shapes = list(zip(self.dims[:-1], self.dims[1:]))
+        self.n_params = sum(fi * fo + fo for fi, fo in self._shapes)
         self.theta = np.zeros(self.n_params)
         self._weights, self._biases = self._views(self.theta)
         self._init_params()
@@ -155,7 +152,7 @@ class Mlp:
         for w, b in zip(self._weights[:-1], self._biases[:-1]):
             pre = h @ w + b
             pre_acts.append(pre)
-            h = np.where(pre > 0.0, pre, slope * pre)
+            h = np.maximum(pre, slope * pre)  # leaky ReLU, exact for 0 < slope < 1
             activations.append(h)
         z = (h @ self._weights[-1] + self._biases[-1]).ravel()
         return z, (activations, pre_acts)
@@ -175,9 +172,10 @@ class Mlp:
         gb[-1][...] = d.sum(axis=0)
         da = d @ self._weights[-1].T
         for layer in range(len(self._shapes) - 2, -1, -1):
-            dpre = da * np.where(pre_acts[layer] > 0.0, 1.0, slope)
-            gw[layer][...] = activations[layer].T @ dpre
-            gb[layer][...] = dpre.sum(axis=0)
+            # max(pre > 0, slope) is exactly 1.0 or slope, and faster than np.where
+            dpre = da * np.maximum(pre_acts[layer] > 0.0, slope)
+            np.matmul(activations[layer].T, dpre, out=gw[layer])
+            np.sum(dpre, axis=0, out=gb[layer])
             if layer > 0:
                 da = dpre @ self._weights[layer].T
         return grad
@@ -225,17 +223,22 @@ class Adam:
         self.m = np.zeros(n_params)
         self.v = np.zeros(n_params)
         self.t = 0
+        self._update = np.empty(n_params)
+        self._denom = np.empty(n_params)
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
-        c = self.cfg
+        # in place, in the operation order of theta -= lr * m_hat / (sqrt(v_hat) + eps)
+        c, update, denom = self.cfg, self._update, self._denom
         self.t += 1
         self.m *= c.beta1
-        self.m += (1.0 - c.beta1) * grad
+        self.m += np.multiply(grad, 1.0 - c.beta1, out=update)
         self.v *= c.beta2
-        self.v += (1.0 - c.beta2) * grad * grad
-        m_hat = self.m / (1.0 - c.beta1**self.t)
-        v_hat = self.v / (1.0 - c.beta2**self.t)
-        theta -= c.learning_rate * m_hat / (np.sqrt(v_hat) + c.epsilon)
+        self.v += np.multiply(np.multiply(grad, 1.0 - c.beta2, out=update), grad, out=update)
+        np.sqrt(np.divide(self.v, 1.0 - c.beta2**self.t, out=denom), out=denom)
+        denom += c.epsilon
+        update = np.divide(self.m, 1.0 - c.beta1**self.t, out=update)
+        update *= c.learning_rate
+        theta -= np.divide(update, denom, out=update)
 
 
 _LOSS_FNS = {

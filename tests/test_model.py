@@ -138,6 +138,25 @@ def test_adam_reduces_to_scaled_gradient_descent():
     np.testing.assert_allclose(theta, gd, rtol=1e-5)
 
 
+def test_adam_step_matches_textbook_update_bitwise():
+    cfg = AdamConfig(learning_rate=1e-2)
+    rng = np.random.default_rng(3)
+    theta = rng.standard_normal(50)
+    expected = theta.copy()
+    m = np.zeros(50)
+    v = np.zeros(50)
+    adam = Adam(cfg, 50)
+    for t in range(1, 6):
+        grad = rng.standard_normal(50)
+        adam.step(theta, grad)
+        m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
+        v = cfg.beta2 * v + (1.0 - cfg.beta2) * grad * grad
+        m_hat = m / (1.0 - cfg.beta1**t)
+        v_hat = v / (1.0 - cfg.beta2**t)
+        expected -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+    np.testing.assert_array_equal(theta, expected)
+
+
 def test_adam_bias_correction_first_step():
     cfg = AdamConfig(learning_rate=0.1, beta1=0.9, beta2=0.999, epsilon=1e-12)
     adam = Adam(cfg, 1)
