@@ -301,11 +301,15 @@ class MixtureModel:
             degenerate events that callers should flag.
         """
         p = self.component_densities(masses)
+        return p, self.denominator(p)
+
+    def denominator(self, p: np.ndarray) -> np.ndarray:
+        """``sum_k N_k p[e, k]`` for a matrix of per-species density values."""
         # ordered accumulation: bit-identical to a per-event loop over species
         denom = p[:, 0] * self.yields[0]
         for k in range(1, p.shape[1]):
             denom = denom + p[:, k] * self.yields[k]
-        return p, denom
+        return denom
 
     def density(self) -> MixtureDensity:
         """The normalized mixture density ``sum_k N_k p_k(m) / N``."""

@@ -27,6 +27,10 @@ CONDITION_LIMIT = 1e12
 _EM_TOL = 1e-10
 _EM_MAX_ITER = 10_000
 
+# Rows formatted per write. Larger blocks are no faster, and the Python
+# floats and strings of a block stay resident in the allocator afterwards.
+_CSV_BLOCK_ROWS = 4096
+
 
 class SplotError(RuntimeError):
     """Degenerate input to the weight computation (indistinguishable species, no usable events...)."""
@@ -69,9 +73,13 @@ class SWeightTable:
         """Write ``event_index,sweight_<species0>,...`` rows at full double precision."""
         with open(path, "w", encoding="utf-8", newline="\n") as f:
             f.write("event_index," + ",".join(f"sweight_{s}" for s in self.species) + "\n")
-            for e in range(self.n_events):
-                row = ",".join(format(x, ".17g") for x in self.weights[e])
-                f.write(f"{e},{row}\n")
+            # str.format applies format(x, ".17g") to each Python float, so a
+            # block writes the same bytes as a per-row loop
+            row = "{}" + ",{:.17g}" * self.n_species + "\n"
+            for start in range(0, self.n_events, _CSV_BLOCK_ROWS):
+                stop = min(start + _CSV_BLOCK_ROWS, self.n_events)
+                columns = [self.weights[start:stop, j].tolist() for j in range(self.n_species)]
+                f.write("".join(map(row.format, range(start, stop), *columns)))
 
 
 def _density_matrix(masses, mm: MixtureModel):
@@ -169,13 +177,23 @@ def fit_yields(
     p = p[good]
 
     n = init * (total / init.sum())
+    # One species' responsibilities at a time, from a contiguous column.
+    # Summing them in event order gives the bits of the (n, k)
+    # responsibility matrix's sequential axis-0 sum; np.sum of a 1-D array
+    # would sum pairwise instead.
+    pt = np.ascontiguousarray(p.T)
+    r = np.empty(pt.shape[1])
     converged = False
     for _ in range(max_iter):
         # the floor only matters for events orphaned by a clamped-to-zero
         # yield: their numerator rows are exactly zero as well
-        denom = np.maximum(p @ n, 1e-300)
-        r = (p * n) / denom[:, None]
-        n_new = r.sum(axis=0)
+        denom = p @ n
+        np.maximum(denom, 1e-300, out=denom)
+        n_new = np.empty_like(n)
+        for k, pk in enumerate(pt):
+            np.multiply(pk, n[k], out=r)
+            np.divide(r, denom, out=r)
+            n_new[k] = np.add.accumulate(r, out=r)[-1]
         # a yield this deep into the boundary is an exact zero of the map;
         # clamping ends the otherwise geometric crawl toward it
         n_new[n_new < 1e-9 * total] = 0.0
@@ -242,7 +260,7 @@ def compute_sweights(masses, mm: MixtureModel, yields=None) -> SWeightTable:
     vinv, flagged = compute_vinv(masses, fitted)
     v, cond = _invert_vinv(vinv)
 
-    _, denom = fitted.mixture_density(masses)
+    denom = fitted.denominator(p)
     goodmask = denom >= DENOMINATOR_FLOOR
     # ordered accumulation over species keeps the numerator bit-identical to
     # the straightforward per-event loop

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import splotlearn.cli as cli
 from splotlearn.cli import CONFIG, SHAPES, ConfigError, Shape, _load_dataset, load_config, main, parse_config
 from splotlearn.data import generate_synthetic
 from splotlearn.density import Density1D
@@ -367,6 +368,44 @@ def test_sweep_threads_write_the_same_bytes(tmp_path):
     path = write_config(tmp_path, cfg)
     for threads in ("1", "2"):
         assert main(["sweep", "--config", str(path), "--threads", threads, "--out", str(tmp_path / threads)]) == 0
+    for name in ["sweep.csv", "sweep_summary.csv", "sweep.svg", "manifest.json"]:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+
+
+def counting(monkeypatch, name):
+    """Replace ``splotlearn.cli.<name>`` by a wrapper that records its calls' arguments."""
+    calls = []
+    fn = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *a, **k: calls.append((a, k)) or fn(*a, **k))
+    return calls
+
+
+def test_sweep_builds_each_seeds_test_set_once(tmp_path, monkeypatch):
+    cfg = base_config(tmp_path / "out", n=600, steps=30, methods=["constrained_mse", "cwola"])
+    cfg["sizes"] = [200, 400]
+    cfg["seeds"] = [0, 1]
+    cfg["sweep"] = {"test_n": 500}
+    generated = counting(monkeypatch, "generate_synthetic")
+    weighted = counting(monkeypatch, "attach_sweights")
+    assert main(["sweep", "--config", str(write_config(tmp_path, cfg))]) == 0
+    sizes = [k["n"] for _, k in generated]
+    assert sizes.count(500) == 2  # one test set per seed
+    assert len(weighted) == 2 + 2 * 2 * 2  # and one train set per cell
+
+
+def test_csv_sweep_reads_the_csv_once_per_seed(tmp_path, monkeypatch):
+    ds = generate_synthetic(1200, 0.5, 7, n_features=2)
+    rows = [[repr(m), str(y), *map(repr, x)] for m, y, x in zip(ds.m.tolist(), ds.y.tolist(), ds.X.tolist())]
+    (tmp_path / "events.csv").write_text("\n".join(["mass,label,a,b"] + [",".join(r) for r in rows]) + "\n")
+    cfg = base_config(tmp_path / "out", steps=30, methods=["constrained_mse", "true_labels"])
+    cfg["data"] = {"csv": {"path": str(tmp_path / "events.csv"), "mass_column": "mass", "label_column": "label"}}
+    cfg["sizes"] = [300, 600]
+    cfg["seeds"] = [0, 1]
+    path = write_config(tmp_path, cfg)
+    ingested = counting(monkeypatch, "ingest_csv")
+    assert main(["sweep", "--config", str(path), "--threads", "1", "--out", str(tmp_path / "1")]) == 0
+    assert len(ingested) == 2
+    assert main(["sweep", "--config", str(path), "--threads", "2", "--out", str(tmp_path / "2")]) == 0
     for name in ["sweep.csv", "sweep_summary.csv", "sweep.svg", "manifest.json"]:
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from splotlearn.data import generate_synthetic
-from splotlearn.density import MixtureModel, TruncatedGaussian, Uniform, canonical_mixture
+from splotlearn.density import Density1D, MixtureModel, TruncatedExponential, TruncatedGaussian, Uniform, canonical_mixture
 from splotlearn.splot import (
+    _CSV_BLOCK_ROWS,
     SplotError,
+    SWeightTable,
     YieldFitError,
     compute_sweights,
     compute_vinv,
@@ -143,6 +147,30 @@ def test_sweight_identities_with_ml_yields():
     np.testing.assert_allclose(table.v, table.v.T, rtol=1e-9)
 
 
+def test_sweights_covariance_identity():
+    # sum_e w_e w_e^T = V Vinv V = V, since weights and Vinv share their denominators
+    mm = canonical_mixture(550, 450)
+    masses = np.concatenate([mm.sample(10_000, seed=5), [11.0, -3.0]])
+    table = compute_sweights(masses, mm)
+    np.testing.assert_allclose(table.weights.T @ table.weights, table.v, rtol=1e-9)
+
+
+def test_sweights_evaluate_each_density_three_times(monkeypatch):
+    mm = canonical_mixture(300, 700)
+    masses = np.concatenate([mm.sample(2000, seed=11), [9.0]])
+    calls = []
+    evaluate = Density1D.evaluate
+    monkeypatch.setattr(Density1D, "evaluate", lambda self, m: calls.append(self) or evaluate(self, m))
+    table = compute_sweights(masses, mm)
+    assert len(calls) == 3 * mm.n_species
+    # the weights carry the bits of the fitted mixture's own denominator
+    p, denom = mm.with_yields(table.yields).mixture_density(masses)
+    good = denom >= 1e-300
+    expected = np.zeros_like(table.weights)
+    expected[good] = (p[:, 0, None] * table.v[None, :, 0] + p[:, 1, None] * table.v[None, :, 1])[good] / denom[good, None]
+    assert table.weights.tobytes() == expected.tobytes()
+
+
 def test_flagged_events_get_zero_weights():
     mm = canonical_mixture(500, 500)
     masses = np.concatenate([mm.sample(500, seed=2), [11.0]])
@@ -165,8 +193,76 @@ def test_sweights_csv_export_roundtrip(tmp_path):
     np.testing.assert_array_equal(parsed, table.weights)
 
 
+def reference_csv(table):
+    """The export written one row at a time with format(x, ".17g")."""
+    lines = ["event_index," + ",".join(f"sweight_{s}" for s in table.species)]
+    for e in range(table.n_events):
+        lines.append(f"{e}," + ",".join(format(x, ".17g") for x in table.weights[e]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_sweights_csv_export_matches_per_row_format(tmp_path, k):
+    n = _CSV_BLOCK_ROWS + 3
+    weights = np.random.default_rng(k).standard_normal((n, k)) * 10.0 ** np.arange(-3, 3 * k - 3, 3)
+    edge = [-0.0, 5e-324, 1e300, -1e300, 1 / 3]
+    weights[: len(edge), 0] = edge
+    weights[len(edge) : 2 * len(edge), -1] = edge
+    flagged = np.array([7, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, n - 1])
+    weights[flagged] = 0.0
+    names = [f"s{j}" for j in range(k)]
+    table = SWeightTable(weights, np.eye(k), np.eye(k), np.ones(k), names, flagged, 1.0)
+    path = tmp_path / "sweights.csv"
+    table.to_csv(path)
+    assert path.read_bytes() == reference_csv(table).encode()
+
+
+def test_sweights_csv_export_of_no_events(tmp_path):
+    table = SWeightTable(np.zeros((0, 2)), np.eye(2), np.eye(2), np.ones(2), ["signal", "background"], np.array([], dtype=int), 1.0)
+    table.to_csv(tmp_path / "sweights.csv")
+    assert (tmp_path / "sweights.csv").read_text() == "event_index,sweight_signal,sweight_background\n"
+
+
 # ---------------------------------------------------------------------------
 # fit_yields
+
+
+def reference_em_trace(masses, shapes, init, total, max_iter):
+    """(yields, loglik) after each iteration of the EM update built on the (n, k) responsibility matrix."""
+    p = np.column_stack([s.evaluate(masses) for s in shapes])
+    p = p[p.sum(axis=1) > 0.0]
+    n = np.asarray(init, dtype=float) * (total / np.sum(init))
+    trace = []
+    for _ in range(max_iter):
+        denom = np.maximum(p @ n, 1e-300)
+        n_new = (p * n / denom[:, None]).sum(axis=0)
+        n_new[n_new < 1e-9 * total] = 0.0
+        n_new *= total / n_new.sum()
+        trace.append((n_new.copy(), float(np.sum(np.log(np.maximum(p @ n_new, 1e-300))))))
+        delta = np.max(np.abs(n_new - n)) / total
+        n = n_new
+        if delta < 1e-10:
+            break
+    return trace
+
+
+@pytest.mark.parametrize("n_events", [1, 7, 1000, 65_537])
+@pytest.mark.parametrize("n_species", [2, 3])
+def test_fit_yields_iterates_match_responsibility_matrix_update(n_events, n_species):
+    shapes = [TruncatedGaussian(4.0, 1.0, 0, 8), TruncatedExponential(0.4, 0, 8), Uniform(0, 8)][:n_species]
+    fractions = np.array([0.3, 0.5, 0.2][:n_species])
+    masses = MixtureModel(shapes, fractions).sample(n_events, seed=n_events)
+    init = np.full(n_species, n_events / n_species)
+    trace = []
+    try:
+        fit_yields(masses, shapes, init, float(n_events), max_iter=500, callback=lambda y, ll: trace.append((y, ll)))
+    except SplotError:
+        pass  # no convergence or a flat direction: the iterates still count
+    expected = reference_em_trace(masses, shapes, init, float(n_events), 500)
+    assert len(trace) == len(expected)
+    for (y, ll), (y_ref, ll_ref) in zip(trace, expected):
+        assert y.tobytes() == y_ref.tobytes()
+        assert ll == ll_ref
 
 
 def test_fit_yields_disjoint_counts():
@@ -265,3 +361,48 @@ def test_conditional_check_requires_labels():
     table = compute_sweights(ds.m, mm)
     with pytest.raises(ValueError):
         conditional_sweight_check(ds, table, n_bins=5)
+
+
+# ---------------------------------------------------------------------------
+# identities over random shapes, supports and yield splits
+
+
+@st.composite
+def mixtures(draw):
+    """Two or three species of distinct kinds on a random support, with random yield fractions."""
+    lo = draw(st.floats(-50.0, 50.0))
+    width = draw(st.floats(1.0, 30.0))
+    hi = lo + width
+    kinds = draw(st.permutations(["gaussian", "exponential", "uniform"]))[: draw(st.sampled_from([2, 3]))]
+    shapes = []
+    for kind in kinds:
+        if kind == "gaussian":
+            mu = lo + width * draw(st.floats(0.2, 0.8))
+            shapes.append(TruncatedGaussian(mu, width * draw(st.floats(0.03, 0.2)), lo, hi))
+        elif kind == "exponential":
+            shapes.append(TruncatedExponential(draw(st.floats(1.0, 8.0)) / width, lo, hi))
+        else:
+            shapes.append(Uniform(lo, hi))
+    fractions = np.array([draw(st.floats(0.2, 1.0)) for _ in kinds])
+    return shapes, fractions / fractions.sum()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(mixtures(), st.integers(500, 3_000), st.integers(0, 2**32 - 1))
+def test_sweight_identities_hold_for_random_mixtures(mixture, n_events, seed):
+    shapes, fractions = mixture
+    masses = MixtureModel(shapes, fractions * n_events).sample(n_events, seed)
+    try:
+        # start the fit away from the generating yields
+        table = compute_sweights(masses, MixtureModel(shapes, np.full(len(shapes), n_events / len(shapes))))
+    except SplotError:
+        assume(False)  # declared indistinguishable or not converged: no weights to check
+    w = table.weights
+    assert table.flagged_events.size == 0
+    # these two hold for any yields that weights and Vinv share
+    np.testing.assert_allclose(w.sum(axis=0), table.yields, rtol=0, atol=1e-9 * n_events)
+    np.testing.assert_allclose(w.T @ w, table.v, rtol=1e-9)
+    # the per-event sum needs the stationary point of the likelihood, which a
+    # yield crawling toward zero has not reached
+    if table.yields.min() >= 1.0:
+        np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-6)
