@@ -390,30 +390,30 @@ def _run_training_stage(cfg: ExperimentConfig, out_dir: Path, seed: int, methods
 
 
 def _sweep_inputs(cfg: ExperimentConfig, seed: int):
-    """One seed's inputs shared by all its cells: the train pool (None for synthetic data) and the weighted test set."""
+    """One seed's inputs shared by all its cells: the weighted train set of each size, and the weighted test set."""
     if cfg.synthetic is not None:
         test_seed = int(np.random.SeedSequence([seed, 0x7E57]).generate_state(1)[0])
-        train_pool = None
         test_raw = generate_synthetic(seed=test_seed, **{**cfg.synthetic, "n": cfg.sweep_test_n})
     else:
         ds, _ = _load_dataset(cfg, seed)
         train_pool, test_raw = split(ds, cfg.test_fraction, seed)
+    trains = {}
+    for size in cfg.sizes:
+        if cfg.synthetic is not None:
+            train_seed = int(np.random.SeedSequence([seed, size]).generate_state(1)[0])
+            train_raw = generate_synthetic(seed=train_seed, **{**cfg.synthetic, "n": size})
+        else:
+            if size > train_pool.n:
+                raise DataError(f"sweep size {size} exceeds available train events {train_pool.n}")
+            rng = np.random.default_rng([seed, size])
+            train_raw = train_pool.subset(rng.permutation(train_pool.n)[:size])
+        trains[size], _ = attach_sweights(train_raw, cfg.mixture(train_raw.n))
     test_ds, _ = attach_sweights(test_raw, cfg.mixture(test_raw.n))
-    return train_pool, test_ds
+    return trains, test_ds
 
 
-def _sweep_cell(cfg: ExperimentConfig, size: int, method: str, seed: int, train_pool: Dataset | None, test_ds: Dataset):
-    """Train one sweep cell on its seed's inputs; returns the final test AUC or None on divergence."""
-    if train_pool is None:
-        train_seed = int(np.random.SeedSequence([seed, size]).generate_state(1)[0])
-        train_raw = generate_synthetic(seed=train_seed, **{**cfg.synthetic, "n": size})
-    else:
-        if size > train_pool.n:
-            raise DataError(f"sweep size {size} exceeds available train events {train_pool.n}")
-        rng = np.random.default_rng([seed, size])
-        train_raw = train_pool.subset(rng.permutation(train_pool.n)[:size])
-
-    train_ds, _ = attach_sweights(train_raw, cfg.mixture(train_raw.n))
+def _sweep_cell(cfg: ExperimentConfig, method: str, seed: int, train_ds: Dataset, test_ds: Dataset):
+    """Train one sweep cell on its weighted train and test sets; returns the final test AUC or None on divergence."""
     _model, report, _sha = _train_method(cfg, method, train_ds, test_ds, seed)
     if report.aborted or len(report.test_auc) == 0:
         return None
@@ -430,14 +430,19 @@ def _run_sweep_stage(cfg: ExperimentConfig, out_dir: Path, seeds: list[int], thr
     if not sizes:
         raise ConfigError("config.sizes: required for a size sweep")
     inputs = {seed: _sweep_inputs(cfg, seed) for seed in seeds}
-    cells = [(size, method, seed) for size in sizes for method in cfg.methods for seed in seeds]
+
+    def cell_args(size, method, seed):
+        trains, test_ds = inputs[seed]
+        return cfg, method, seed, trains[size], test_ds
+
     if threads > 1:
+        cells = [(size, method, seed) for size in sizes for method in cfg.methods for seed in seeds]
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_sweep_cell_star, [(cfg, *c, *inputs[c[2]]) for c in cells]))
+            results = list(pool.map(_sweep_cell_star, [cell_args(*c) for c in cells]))
         lookup = dict(zip(cells, results))
         cell_fn = lambda size, method, seed: lookup[(size, method, seed)]  # noqa: E731
     else:
-        cell_fn = lambda size, method, seed: _sweep_cell(cfg, size, method, seed, *inputs[seed])  # noqa: E731
+        cell_fn = lambda size, method, seed: _sweep_cell(*cell_args(size, method, seed))  # noqa: E731
 
     sweep_csv = out_dir / "sweep.csv"
     summary_csv = out_dir / "sweep_summary.csv"

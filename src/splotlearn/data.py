@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import gzip
+import io
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -245,22 +246,26 @@ class IngestReport:
 def ingest_csv(path, schema: CsvSchema):
     """Parse a header-and-floats CSV (gzip accepted) into a Dataset.
 
-    Parsing is strict: a structurally broken row (wrong field count, text
-    that is not a float) raises with its line number; rows with non-finite
-    values are dropped and reported.
+    Parsing is strict: every cell must be text that Python's ``float()``
+    reads, and a structurally broken row (wrong field count, text that is not
+    a float) raises with its line number; rows with non-finite values are
+    dropped and reported.  A UTF-8 byte-order mark is skipped, and a header
+    that names a column twice is rejected.
     """
     opener = gzip.open if str(path).endswith(".gz") else open
     try:
-        handle = opener(path, "rt", encoding="utf-8", newline="")
+        handle = opener(path, "rt", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     with handle as f:
-        reader = csv.reader(f)
         try:
-            header = next(reader)
+            header = next(csv.reader(f))
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        for i, h in enumerate(header):
+            if h in header[:i]:
+                raise DataError(f"{path}: duplicate column {h!r}")
 
         required = [schema.mass] + ([schema.label] if schema.label else [])
         for col in required:
@@ -274,28 +279,12 @@ def ingest_csv(path, schema: CsvSchema):
                 if col not in header:
                     raise DataError(f"{path}: missing declared column {col!r}")
         col_idx = {h: i for i, h in enumerate(header)}
+        body = f.read()
 
-        rows = []
-        rejected = []
-        n_read = 0
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            n_read += 1
-            if len(row) != len(header):
-                raise DataError(f"{path}: line {line_no}: expected {len(header)} fields, got {len(row)}")
-            try:
-                values = [float(cell) for cell in row]
-            except ValueError as exc:
-                raise DataError(f"{path}: line {line_no}: {exc}") from None
-            if not all(np.isfinite(v) for v in values):
-                rejected.append((line_no, "non-finite value"))
-                continue
-            rows.append(values)
-
-    if not rows:
+    parsed = _parse_body_fast(body, len(header))
+    table, n_read, rejected = parsed if parsed is not None else _parse_body_strict(path, body, len(header))
+    if table.shape[0] == 0:
         raise DataError(f"{path}: no usable data rows")
-    table = np.asarray(rows)
     X = table[:, [col_idx[c] for c in feature_cols]]
     m = table[:, col_idx[schema.mass]]
     y = None
@@ -306,6 +295,57 @@ def ingest_csv(path, schema: CsvSchema):
         y = y_raw.astype(np.int64)
     ds = Dataset(X=X, m=m, y=y, feature_names=feature_cols)
     return ds, IngestReport(n_rows_read=n_read, n_rejected=len(rejected), rejected=rejected)
+
+
+# ASCII characters that np.loadtxt strips as whitespace around a number and float() does not
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _parse_body_fast(body: str, n_fields: int):
+    """``_parse_body_strict``'s result for a body ``np.loadtxt`` reads the same way, else None.
+
+    Only unquoted ASCII text with ``\\n`` line ends qualifies, and the parse
+    is kept only with one row per line (loadtxt skips empty lines) and
+    ``n_fields`` columns.  Everything else, errors included, is left to the
+    strict parser.
+    """
+    # a body that opens with an empty line may hold no data, which loadtxt warns about
+    if not body or body[0] == "\n" or not body.isascii() or any(c in body for c in '"\r' + _LOADTXT_ONLY_SPACE):
+        return None
+    try:
+        # ASCII bytes read as the same characters, without StringIO's 4-byte copy of the body
+        table = np.loadtxt(io.BytesIO(body.encode("ascii")), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape != (body.count("\n") + (not body.endswith("\n")), n_fields):
+        return None
+    finite = np.isfinite(table).all(axis=1)
+    return table[finite], len(finite), [(int(i) + 2, "non-finite value") for i in np.flatnonzero(~finite)]
+
+
+def _parse_body_strict(path, body: str, n_fields: int):
+    """(finite rows as an (n, n_fields) table, rows read, rejected (line, reason) pairs) of the CSV body.
+
+    This loop defines the accepted grammar and every parse error message.
+    """
+    rows = []
+    rejected = []
+    n_read = 0
+    for line_no, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
+        if not row:
+            continue
+        n_read += 1
+        if len(row) != n_fields:
+            raise DataError(f"{path}: line {line_no}: expected {n_fields} fields, got {len(row)}")
+        try:
+            values = [float(cell) for cell in row]
+        except ValueError as exc:
+            raise DataError(f"{path}: line {line_no}: {exc}") from None
+        if not all(np.isfinite(v) for v in values):
+            rejected.append((line_no, "non-finite value"))
+            continue
+        rows.append(values)
+    return np.array(rows, dtype=float).reshape(len(rows), n_fields), n_read, rejected
 
 
 def split(ds: Dataset, test_fraction: float, seed: int):

@@ -88,14 +88,25 @@ def exact_likelihood(z, ps, pb) -> LossEval:
     bracket floored at ``LIKELIHOOD_FLOOR``.  Any L2 regularization is the
     trainer's business, not part of the data term.
     """
-    z = np.asarray(z, dtype=float)
     ps = np.asarray(ps, dtype=float)
     pb = np.asarray(pb, dtype=float)
+    check_densities(ps, pb)
+    return _exact_likelihood(np.asarray(z, dtype=float), ps, pb)
+
+
+def check_densities(ps: np.ndarray, pb: np.ndarray) -> None:
+    """``exact_likelihood``'s precondition: non-negative densities, positive under some species."""
     if np.any(ps < 0) or np.any(pb < 0):
-        raise LossInputError("density columns must be non-negative")
+        raise LossInputError("exact_likelihood: density columns must be non-negative")
     dead = np.flatnonzero((ps <= 0) & (pb <= 0))
     if dead.size:
-        raise LossInputError(f"events with zero density under both species: indices {dead.tolist()[:20]}")
+        raise LossInputError(
+            f"exact_likelihood: events with zero density under both species: indices {dead.tolist()[:20]}"
+        )
+
+
+def _exact_likelihood(z: np.ndarray, ps: np.ndarray, pb: np.ndarray) -> LossEval:
+    """``exact_likelihood`` on float arrays that ``check_densities`` accepted."""
     s = expit(z)
     s_comp = expit(-z)  # 1 - sigmoid(z) without cancellation
     bracket = np.maximum(s * ps + s_comp * pb, LIKELIHOOD_FLOOR)
@@ -120,10 +131,19 @@ def weighted_ce(z, ws, wb) -> LossEval:
 
 def plain_ce(z, y) -> LossEval:
     """Standard binary cross-entropy against labels in {0, 1}."""
-    z = np.asarray(z, dtype=float)
     y = np.asarray(y, dtype=float)
+    check_labels(y)
+    return _plain_ce(np.asarray(z, dtype=float), y)
+
+
+def check_labels(y: np.ndarray) -> None:
+    """``plain_ce``'s precondition: every label is 0 or 1."""
     if np.any((y != 0.0) & (y != 1.0)):
-        raise LossInputError("labels must be 0 or 1")
+        raise LossInputError("plain_ce: labels must be 0 or 1")
+
+
+def _plain_ce(z: np.ndarray, y: np.ndarray) -> LossEval:
+    """``plain_ce`` on float arrays that ``check_labels`` accepted."""
     loss = float(np.sum(_softplus(z) - y * z))
     grad = expit(z) - y
     return LossEval(loss, grad)

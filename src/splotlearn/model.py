@@ -14,10 +14,16 @@ import numpy as np
 
 from .data import cwola_label
 from .evaluation import roc_auc
-from .losses import LossEval, LossInputError, LossKind, constrained_mse, exact_likelihood, plain_ce, weighted_ce
+from .losses import (
+    LossEval, LossInputError, LossKind, _exact_likelihood, _plain_ce, check_densities, check_labels, constrained_mse,
+    weighted_ce,
+)
 
 MAGIC = b"SPML"
 FORMAT_VERSION = 1
+
+# Rows per block of Mlp.forward; the last block also takes the remainder.
+FORWARD_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -137,14 +143,47 @@ class Mlp:
             w[...] = rng.uniform(-limit, limit, size=w.shape)
             b[...] = 0.0
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        z, _ = self._forward_cached(x)
-        return z
-
-    def _forward_cached(self, x: np.ndarray):
+    def _check_input(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.cfg.input_dim:
             raise ValueError(f"expected inputs of shape (n, {self.cfg.input_dim}), got {x.shape}")
+        return x
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Logits of every row of ``x``, with the bits of ``_forward_cached``'s ``z``.
+
+        Rows go through in blocks of ``FORWARD_BLOCK_ROWS`` to ``2 * FORWARD_BLOCK_ROWS - 1``
+        rows (fewer only when ``x`` has fewer), in place on two scratch buffers,
+        keeping no activations.  The remainder joins the last block because a
+        very short block can take another BLAS kernel with other rounding.
+        Bit-equality with the unblocked forward was checked with OpenBLAS on
+        nets with fan-ins up to 256; with a fan-in of 300 a logit moved by a
+        few 1e-16.
+        """
+        x = self._check_input(x)
+        n = x.shape[0]
+        slope = self.cfg.leaky_slope
+        starts = [i * FORWARD_BLOCK_ROWS for i in range(max(n // FORWARD_BLOCK_ROWS, 1))]
+        ends = starts[1:] + [n]
+        size = (ends[-1] - starts[-1]) * max(self.dims[1:-1])
+        pre_buf, act_buf = np.empty(size), np.empty(size)
+        z = np.empty(n)
+        for s, e in zip(starts, ends):
+            h = x[s:e]
+            for w, b in zip(self._weights[:-1], self._biases[:-1]):
+                pre = pre_buf[: (e - s) * w.shape[1]].reshape(e - s, w.shape[1])
+                np.matmul(h, w, out=pre)
+                pre += b
+                h = act_buf[: pre.size].reshape(pre.shape)
+                np.multiply(pre, slope, out=h)
+                np.maximum(pre, h, out=h)  # leaky ReLU, as in _forward_cached
+            out = z[s:e].reshape(-1, 1)
+            np.matmul(h, self._weights[-1], out=out)
+            out += self._biases[-1]
+        return z
+
+    def _forward_cached(self, x: np.ndarray):
+        x = self._check_input(x)
         slope = self.cfg.leaky_slope
         activations = [x]
         pre_acts = []
@@ -241,16 +280,18 @@ class Adam:
         theta -= np.divide(update, denom, out=update)
 
 
+# The trainer's losses.  ``_loss_columns`` checks each column once, so the two
+# losses with preconditions are called without re-checking every batch.
 _LOSS_FNS = {
     LossKind.CONSTRAINED_MSE: constrained_mse,
-    LossKind.EXACT_LIKELIHOOD: exact_likelihood,
+    LossKind.EXACT_LIKELIHOOD: _exact_likelihood,
     LossKind.WEIGHTED_CE: weighted_ce,
-    LossKind.PLAIN_CE: plain_ce,
+    LossKind.PLAIN_CE: _plain_ce,
 }
 
 
 def _loss_columns(kind: LossKind, ds) -> tuple[np.ndarray, ...]:
-    """Pull the auxiliary columns a loss consumes out of a dataset."""
+    """Pull the auxiliary columns a loss consumes out of a dataset, checked against its preconditions."""
     missing = [c for c in kind.required_columns if getattr(ds, c, None) is None]
     if missing:
         raise LossInputError(f"{kind.value} requires dataset columns {missing}")
@@ -259,13 +300,11 @@ def _loss_columns(kind: LossKind, ds) -> tuple[np.ndarray, ...]:
     if kind is LossKind.WEIGHTED_CE:
         return (ds.sweights[:, 0], ds.sweights[:, 1])
     if kind is LossKind.EXACT_LIKELIHOOD:
-        dead = np.flatnonzero((ds.ps <= 0) & (ds.pb <= 0))
-        if dead.size:
-            raise LossInputError(
-                f"exact_likelihood: events with zero density under both species: indices {dead.tolist()[:20]}"
-            )
+        check_densities(ds.ps, ds.pb)
         return (ds.ps, ds.pb)
-    return (np.asarray(ds.y, dtype=float),)
+    y = np.asarray(ds.y, dtype=float)
+    check_labels(y)
+    return (y,)
 
 
 def _eval_loss(kind: LossKind, z: np.ndarray, cols: tuple[np.ndarray, ...]) -> LossEval:

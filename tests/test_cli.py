@@ -390,7 +390,8 @@ def test_sweep_builds_each_seeds_test_set_once(tmp_path, monkeypatch):
     assert main(["sweep", "--config", str(write_config(tmp_path, cfg))]) == 0
     sizes = [k["n"] for _, k in generated]
     assert sizes.count(500) == 2  # one test set per seed
-    assert len(weighted) == 2 + 2 * 2 * 2  # and one train set per cell
+    assert sizes.count(200) == sizes.count(400) == 2  # one train set per (size, seed), shared by its methods
+    assert len(weighted) == 2 + 2 * 2
 
 
 def test_csv_sweep_reads_the_csv_once_per_seed(tmp_path, monkeypatch):

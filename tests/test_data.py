@@ -4,6 +4,8 @@ import gzip
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splotlearn.data import (
     CsvSchema,
@@ -16,6 +18,7 @@ from splotlearn.data import (
     ingest_csv,
     split,
 )
+from splotlearn.data import _parse_body_fast, _parse_body_strict
 from splotlearn.density import MixtureModel, Uniform, canonical_mixture
 
 
@@ -203,6 +206,110 @@ def test_ingest_gzip(tmp_path):
     write_csv(path, "y,mass,a\n1,4.0,0.5\n", compress=True)
     ds, _ = ingest_csv(path, CsvSchema(mass="mass", label="y"))
     assert ds.n == 1 and ds.m[0] == 4.0
+
+
+def test_ingest_skips_a_utf8_bom(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes("mass,label,a\n4.0,1,0.5\n".encode("utf-8-sig"))
+    ds, _ = ingest_csv(path, CsvSchema(mass="mass", label="label"))
+    assert ds.m[0] == 4.0 and ds.feature_names == ["a"]
+
+
+@pytest.mark.parametrize("header, dup", [("mass,label,a,a", "a"), ("mass,label,mass", "mass"), ("mass, a,a ", "a")])
+def test_ingest_rejects_duplicate_column_names(tmp_path, header, dup):
+    path = tmp_path / "dup.csv"
+    n_fields = header.count(",") + 1
+    write_csv(path, header + "\n" + ",".join(["1"] * n_fields) + "\n")
+    with pytest.raises(DataError, match=f"duplicate column '{dup}'"):
+        ingest_csv(path, CsvSchema(mass="mass"))
+
+
+def test_ingest_fast_path_takes_plain_bodies():
+    table, n_read, rejected = _parse_body_fast("1,2\n3,nan\n-inf,4.5e-3\n 5 ,+6", 2)
+    np.testing.assert_array_equal(table, [[1.0, 2.0], [5.0, 6.0]])
+    assert n_read == 4 and rejected == [(3, "non-finite value"), (4, "non-finite value")]
+    # cells that np.loadtxt and float() read differently, quotes, odd line ends, bad shapes
+    for body in ["1_0,2\n", "\u0661,2\n", "\x1c1,2\n", '"1",2\n', "1,2\r\n", "1,2\n\n3,4\n", "1,2\n3\n", "1,2,3\n", ""]:
+        assert _parse_body_fast(body, 2) is None, repr(body)
+
+
+# Cells the two parsers must agree on: plain and odd numbers, non-finite values,
+# text float() reads and np.loadtxt does not (and the reverse), quoted cells.
+_CELLS = [
+    "0", "1", "-2.5", "+3", ".5", "5.", "1e5", "1E-5", "-0", "0001", "4.9e-324", "1e400", "-1e-400",
+    "0.30000000000000004", " 7 ", "\t8", "9\x0b", "\xa01",
+    "nan", "NaN", "-nan", "inf", "-inf", "Infinity", "+inf",
+    "1_0", "\u0661\u0662", "\x1c1", "1\x1f",
+    "", " ", "x", "1e", "0x10", "1.0.0",
+    '"1.5"', '"2,5"', '"3\n4"', '"',
+]
+
+
+_PLAIN_CELLS, _ODD_CELLS = _CELLS[:25], _CELLS[25:]  # numbers and non-finite values that both parsers read
+
+
+@st.composite
+def csv_bodies(draw, n_fields=3):
+    """Rows of ``n_fields`` plain cells with ``\\n`` line ends, with up to three odd parts.
+
+    An odd part is a cell from ``_ODD_CELLS``, a short, long, blank or
+    whitespace-only line, or a ``\\r`` line end.
+    """
+    lines = [[draw(st.sampled_from(_PLAIN_CELLS)) for _ in range(n_fields)] for _ in range(draw(st.integers(0, 8)))]
+    ends = ["\n"] * len(lines)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 3])) if lines else 0):
+        i = draw(st.integers(0, len(lines) - 1))
+        part = draw(st.sampled_from(["cell", "cell", "short", "long", "blank", "spaces", "end"]))
+        if part == "cell":
+            if lines[i]:
+                lines[i][draw(st.integers(0, len(lines[i]) - 1))] = draw(st.sampled_from(_ODD_CELLS))
+        elif part == "end":
+            ends[i] = draw(st.sampled_from(["\r\n", "\r"]))
+        else:
+            lines[i] = {"short": lines[i][:-1], "long": lines[i] + ["1"], "blank": [], "spaces": [" \t"]}[part]
+    body = "".join(",".join(cells) + end for cells, end in zip(lines, ends))
+    return body[:-1] if body and draw(st.booleans()) else body
+
+
+def assert_parsers_agree(body, n_fields=3):
+    """Where the fast path takes ``body``, its result is the strict loop's, bit for bit."""
+    fast = _parse_body_fast(body, n_fields)
+    try:
+        strict = _parse_body_strict("f.csv", body, n_fields)
+    except DataError as exc:
+        strict = str(exc)
+    if fast is None:
+        return  # the strict loop's result or error stands
+    assert not isinstance(strict, str), (strict, body)
+    assert fast[0].dtype == strict[0].dtype and fast[0].shape == strict[0].shape
+    assert fast[0].tobytes() == strict[0].tobytes()
+    assert fast[1:] == strict[1:]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(csv_bodies())
+def test_ingest_fast_path_agrees_with_the_strict_loop(body):
+    assert_parsers_agree(body)
+
+
+@pytest.mark.parametrize("cell", _CELLS)
+def test_ingest_fast_path_agrees_on_every_cell(cell):
+    for j in range(3):
+        row = ["1", "2", "3"]
+        row[j] = cell
+        assert_parsers_agree("0,0,0\n" + ",".join(row) + "\n4,5,6\n")
+
+
+def test_ingest_body_parsers_agree_on_a_large_plain_body():
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((5000, 4)) * 10.0 ** rng.integers(-300, 300, (5000, 4))
+    cells = [[repr(v) for v in row] for row in values.tolist()]
+    cells[17][2], cells[4321][0] = "nan", "-inf"
+    body = "\n".join(",".join(row) for row in cells) + "\n"
+    fast, strict = _parse_body_fast(body, 4), _parse_body_strict("f.csv", body, 4)
+    assert fast is not None
+    assert fast[0].tobytes() == strict[0].tobytes()
+    assert fast[1:] == strict[1:] == (5000, [(19, "non-finite value"), (4323, "non-finite value")])
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import splotlearn as sl
-from splotlearn.losses import LossKind, constrained_mse, exact_likelihood, plain_ce, weighted_ce
-from splotlearn.model import Adam, AdamConfig, Mlp, MlpConfig, TrainingDiverged, train
+from splotlearn import model as model_module
+from splotlearn.losses import LossInputError, LossKind, constrained_mse, exact_likelihood, plain_ce, weighted_ce
+from splotlearn.model import FORWARD_BLOCK_ROWS, Adam, AdamConfig, Mlp, MlpConfig, TrainingDiverged, train
 
 
 def tiny_model(seed=0, input_dim=2, hidden=(3,)):
@@ -74,6 +75,25 @@ def test_forward_is_weighted_sum_for_linear_path():
 def test_forward_dimension_mismatch():
     with pytest.raises(ValueError):
         tiny_model(input_dim=3).forward(np.zeros((4, 2)))
+
+
+@pytest.mark.parametrize("hidden, input_dim", [((64, 32, 16), 5), ((128, 64, 32), 10)])  # default, criterion 6
+def test_blocked_forward_matches_the_unblocked_forward_bitwise(monkeypatch, hidden, input_dim):
+    model = Mlp(MlpConfig(input_dim=input_dim, hidden=hidden, seed=4))
+    rows = []
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda a, *rest, **kw: rows.append(a.shape[0]) or matmul(a, *rest, **kw))
+    rng = np.random.default_rng(8)
+    for n in [1, 2, 4095, 4096, 4097, 4098, 4103, 8193, 8199, 20001, 49999, 50000, 150000, 150001, 150007]:
+        x = rng.standard_normal((n, input_dim))
+        rows.clear()
+        z = model.forward(x)
+        assert z.tobytes() == model._forward_cached(x)[0].tobytes(), n
+        layers = len(model.dims) - 1
+        blocks = rows[::layers]
+        assert rows == [r for r in blocks for _ in range(layers)]
+        assert sum(blocks) == n
+        assert all(min(n, FORWARD_BLOCK_ROWS) <= r < 2 * FORWARD_BLOCK_ROWS or r == n for r in blocks), (n, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +246,44 @@ def test_missing_loss_columns_rejected():
     model = tiny_model(seed=1, input_dim=2, hidden=(4,))
     with pytest.raises(LossInputError):
         train(model, ds, LossKind.CONSTRAINED_MSE, AdamConfig(total_steps=10))
+
+
+def likelihood_dataset(n, seed):
+    ds = make_separable(n, seed)
+    rng = np.random.default_rng(seed)
+    return ds.with_columns(ps=rng.uniform(0.05, 2, n), pb=rng.uniform(0.05, 2, n))
+
+
+def test_trainer_checks_loss_columns_once_not_per_batch(monkeypatch):
+    checked = []
+    for name in ("check_densities", "check_labels"):
+        fn = getattr(model_module, name)
+        monkeypatch.setattr(model_module, name, lambda *cols, fn=fn: checked.append(len(cols[0])) or fn(*cols))
+    ds, test = likelihood_dataset(300, 1), likelihood_dataset(100, 2)
+    for kind in (LossKind.EXACT_LIKELIHOOD, LossKind.PLAIN_CE):
+        checked.clear()
+        train(tiny_model(), ds, kind, AdamConfig(total_steps=40), eval_every=20, test=test)
+        assert checked == [300, 100], kind
+
+
+@pytest.mark.parametrize(
+    "ps, pb, match", [([0.5, -0.1], [1.0, 1.0], "non-negative"), ([0.5, 0.0], [1.0, 0.0], "zero density")]
+)
+def test_trainer_rejects_bad_density_columns_before_training(ps, pb, match):
+    ds = sl.Dataset(X=np.zeros((2, 2)), m=np.ones(2), ps=np.array(ps), pb=np.array(pb))
+    model = tiny_model()
+    theta = model.theta.copy()
+    with pytest.raises(LossInputError, match=match):
+        train(model, ds, LossKind.EXACT_LIKELIHOOD, AdamConfig(total_steps=10))
+    np.testing.assert_array_equal(model.theta, theta)
+
+
+def test_loss_columns_reject_labels_other_than_0_and_1():
+    class Labelled:
+        y = np.array([0.0, 1.0, 0.5])
+
+    with pytest.raises(LossInputError, match="0 or 1"):
+        model_module._loss_columns(LossKind.PLAIN_CE, Labelled())
 
 
 def test_divergence_abort_carries_partial_report():
