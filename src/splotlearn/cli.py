@@ -430,25 +430,21 @@ def _run_sweep_stage(cfg: ExperimentConfig, out_dir: Path, seeds: list[int], thr
     if not sizes:
         raise ConfigError("config.sizes: required for a size sweep")
     inputs = {seed: _sweep_inputs(cfg, seed) for seed in seeds}
-
-    def cell_args(size, method, seed):
-        trains, test_ds = inputs[seed]
-        return cfg, method, seed, trains[size], test_ds
-
+    cells = [(size, method, seed) for size in sizes for method in cfg.methods for seed in seeds]
+    args = [(cfg, method, seed, inputs[seed][0][size], inputs[seed][1]) for size, method, seed in cells]
     if threads > 1:
-        cells = [(size, method, seed) for size in sizes for method in cfg.methods for seed in seeds]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_sweep_cell_star, [cell_args(*c) for c in cells]))
-        lookup = dict(zip(cells, results))
-        cell_fn = lambda size, method, seed: lookup[(size, method, seed)]  # noqa: E731
+        # the pool starts all its workers at once, so more workers than cells would sit idle
+        with ProcessPoolExecutor(max_workers=min(threads, len(cells))) as pool:
+            results = list(pool.map(_sweep_cell_star, args))
     else:
-        cell_fn = lambda size, method, seed: _sweep_cell(*cell_args(size, method, seed))  # noqa: E731
+        results = list(map(_sweep_cell_star, args))
+    lookup = dict(zip(cells, results))
 
     sweep_csv = out_dir / "sweep.csv"
     summary_csv = out_dir / "sweep_summary.csv"
     sweep_svg = out_dir / "sweep.svg"
     result = evaluation.size_sweep(
-        sizes, cfg.methods, seeds, cell_fn, out_csv=sweep_csv, out_summary_csv=summary_csv, out_svg=sweep_svg
+        sizes, cfg.methods, seeds, lambda *cell: lookup[cell], out_csv=sweep_csv, out_summary_csv=summary_csv, out_svg=sweep_svg
     )
     return result, [sweep_csv, summary_csv, sweep_svg]
 

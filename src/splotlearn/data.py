@@ -248,13 +248,15 @@ def ingest_csv(path, schema: CsvSchema):
 
     Parsing is strict: every cell must be text that Python's ``float()``
     reads, and a structurally broken row (wrong field count, text that is not
-    a float) raises with its line number; rows with non-finite values are
-    dropped and reported.  A UTF-8 byte-order mark is skipped, and a header
-    that names a column twice is rejected.
+    a float, bytes that are not UTF-8, a cell over csv's field size limit)
+    raises with its line number; rows with non-finite values are dropped and
+    reported.  A UTF-8 byte-order mark is skipped, and a header that names a
+    column twice is rejected.
     """
     opener = gzip.open if str(path).endswith(".gz") else open
     try:
-        handle = opener(path, "rt", encoding="utf-8-sig", newline="")
+        # each byte that is not UTF-8 becomes a lone surrogate, which no float() reads
+        handle = opener(path, "rt", encoding="utf-8-sig", errors="surrogateescape", newline="")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     with handle as f:
@@ -262,10 +264,14 @@ def ingest_csv(path, schema: CsvSchema):
             header = next(csv.reader(f))
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
+        except csv.Error as exc:
+            raise DataError(f"{path}: line 1: {exc}") from None
         header = [h.strip() for h in header]
         for i, h in enumerate(header):
             if h in header[:i]:
                 raise DataError(f"{path}: duplicate column {h!r}")
+            if any("\udc80" <= c <= "\udcff" for c in h):
+                raise DataError(f"{path}: line 1: column {h!r} is not UTF-8 text")
 
         required = [schema.mass] + ([schema.label] if schema.label else [])
         for col in required:
@@ -312,6 +318,10 @@ def _parse_body_fast(body: str, n_fields: int):
     # a body that opens with an empty line may hold no data, which loadtxt warns about
     if not body or body[0] == "\n" or not body.isascii() or any(c in body for c in '"\r' + _LOADTXT_ONLY_SPACE):
         return None
+    # a line over csv's field size limit, whose cell the strict loop may reject, fills a whole window
+    w = csv.field_size_limit() // 2 + 1
+    if any(body.find("\n", i, i + w) < 0 for i in range(0, len(body) - w + 1, w)):
+        return None
     try:
         # ASCII bytes read as the same characters, without StringIO's 4-byte copy of the body
         table = np.loadtxt(io.BytesIO(body.encode("ascii")), delimiter=",", comments=None, ndmin=2)
@@ -331,20 +341,24 @@ def _parse_body_strict(path, body: str, n_fields: int):
     rows = []
     rejected = []
     n_read = 0
-    for line_no, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
-        if not row:
-            continue
-        n_read += 1
-        if len(row) != n_fields:
-            raise DataError(f"{path}: line {line_no}: expected {n_fields} fields, got {len(row)}")
-        try:
-            values = [float(cell) for cell in row]
-        except ValueError as exc:
-            raise DataError(f"{path}: line {line_no}: {exc}") from None
-        if not all(np.isfinite(v) for v in values):
-            rejected.append((line_no, "non-finite value"))
-            continue
-        rows.append(values)
+    reader = csv.reader(io.StringIO(body, newline=""))
+    try:
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            n_read += 1
+            if len(row) != n_fields:
+                raise DataError(f"{path}: line {line_no}: expected {n_fields} fields, got {len(row)}")
+            try:
+                values = [float(cell) for cell in row]
+            except ValueError as exc:
+                raise DataError(f"{path}: line {line_no}: {exc}") from None
+            if not all(np.isfinite(v) for v in values):
+                rejected.append((line_no, "non-finite value"))
+                continue
+            rows.append(values)
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num + 1}: {exc}") from None
     return np.array(rows, dtype=float).reshape(len(rows), n_fields), n_read, rejected
 
 

@@ -23,15 +23,11 @@ def _as_array(m):
     return arr, arr.ndim == 0
 
 
-def _maybe_scalar(out, scalar):
-    return float(out) if scalar else out
-
-
 class Density1D:
     """Base class: a normalized density on a finite closed support.
 
-    Subclasses implement ``_pdf_inside`` and ``_cdf_inside`` for points inside
-    the support; truncation to the support is handled here.
+    Subclasses implement ``_pdf_inside`` for points inside the support and
+    ``_quantile`` for sampling; truncation to the support is handled here.
 
     Attributes
     ----------
@@ -55,9 +51,6 @@ class Density1D:
     def _pdf_inside(self, m: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _cdf_inside(self, m: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def _quantile(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -69,21 +62,7 @@ class Density1D:
         out = np.zeros_like(arr)
         if np.any(inside):
             out[inside] = self._pdf_inside(arr[inside])
-        return _maybe_scalar(out, scalar)
-
-    def cdf(self, m):
-        """P(X <= m); 0 below the support, 1 above it."""
-        arr, scalar = _as_array(m)
-        lo, hi = self.support
-        out = np.empty_like(arr)
-        below = arr < lo
-        above = arr > hi
-        inside = ~(below | above)
-        out[below] = 0.0
-        out[above] = 1.0
-        if np.any(inside):
-            out[inside] = self._cdf_inside(arr[inside])
-        return _maybe_scalar(out, scalar)
+        return float(out) if scalar else out
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """Draw ``n`` i.i.d. values; identical output for identical seeds."""
@@ -110,10 +89,6 @@ class Uniform(Density1D):
     def _pdf_inside(self, m):
         return np.full_like(m, self._height)
 
-    def _cdf_inside(self, m):
-        lo, hi = self.support
-        return (m - lo) / (hi - lo)
-
     def _quantile(self, u):
         lo, hi = self.support
         return lo + u * (hi - lo)
@@ -138,14 +113,14 @@ class TruncatedGaussian(Density1D):
             raise ValueError(f"mu must be finite, got {mu}")
         self.mu = float(mu)
         self.sigma = float(sigma)
-        self._cdf_lo = float(ndtr((lo - self.mu) / self.sigma))
-        self._mass = float(ndtr((hi - self.mu) / self.sigma)) - self._cdf_lo
+        cdf_lo = float(ndtr((lo - self.mu) / self.sigma))
+        self._mass = float(ndtr((hi - self.mu) / self.sigma)) - cdf_lo
         if self._mass <= 0.0:
             raise ValueError(
                 f"gaussian(mu={mu}, sigma={sigma}) carries no probability mass on [{lo}, {hi}]"
             )
         grid = np.linspace(lo, hi, _QUANTILE_GRID_SIZE)
-        cdf_grid = (ndtr((grid - self.mu) / self.sigma) - self._cdf_lo) / self._mass
+        cdf_grid = (ndtr((grid - self.mu) / self.sigma) - cdf_lo) / self._mass
         cdf_grid[0] = 0.0
         cdf_grid[-1] = 1.0
         # strictly increasing knots keep np.interp well defined in flat tails
@@ -155,9 +130,6 @@ class TruncatedGaussian(Density1D):
     def _pdf_inside(self, m):
         x = (m - self.mu) / self.sigma
         return np.exp(-0.5 * x * x) / (np.sqrt(2.0 * np.pi) * self.sigma * self._mass)
-
-    def _cdf_inside(self, m):
-        return (ndtr((m - self.mu) / self.sigma) - self._cdf_lo) / self._mass
 
     def _quantile(self, u):
         return np.interp(u, self._cdf_grid, self._m_grid)
@@ -179,10 +151,6 @@ class TruncatedExponential(Density1D):
     def _pdf_inside(self, m):
         lo = self.support[0]
         return self.rate * np.exp(-self.rate * (m - lo)) / self._mass
-
-    def _cdf_inside(self, m):
-        lo = self.support[0]
-        return -np.expm1(-self.rate * (m - lo)) / self._mass
 
     def _quantile(self, u):
         lo = self.support[0]
@@ -216,12 +184,6 @@ class MixtureDensity(Density1D):
             out += w * np.asarray(c.evaluate(m))
         return out
 
-    def _cdf_inside(self, m):
-        out = np.zeros_like(m)
-        for w, c in zip(self.weights, self.components):
-            out += w * np.asarray(c.cdf(m))
-        return out
-
     def sample(self, n: int, seed: int) -> np.ndarray:
         if n < 0:
             raise ValueError(f"sample size must be >= 0, got {n}")
@@ -237,9 +199,6 @@ class MixtureDensity(Density1D):
             mask = comp == k
             out[mask] = c.sample(int(mask.sum()), int(child_seeds[k + 1]))
         return out
-
-    def _quantile(self, u):
-        raise NotImplementedError("mixture sampling goes through component draws")
 
 
 class MixtureModel:
@@ -310,13 +269,6 @@ class MixtureModel:
         for k in range(1, p.shape[1]):
             denom = denom + p[:, k] * self.yields[k]
         return denom
-
-    def density(self) -> MixtureDensity:
-        """The normalized mixture density ``sum_k N_k p_k(m) / N``."""
-        return MixtureDensity(self.components, self.yields / self.yields.sum())
-
-    def sample(self, n: int, seed: int) -> np.ndarray:
-        return self.density().sample(n, seed)
 
     def __repr__(self):
         parts = ", ".join(f"{nm}={y:g}" for nm, y in zip(self.names, self.yields))

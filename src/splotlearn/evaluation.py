@@ -92,11 +92,13 @@ class SweepResult:
     rows: list  # (size, method, seed, auc | None)
     summary: list  # (size, method, mean, std, n_ok, n_diverged)
 
+    def __post_init__(self):
+        self._means = {(s, m): mean for s, m, mean, *_ in self.summary}
+
     def mean_auc(self, size, method) -> float:
-        for s, m, mean, _, _, _ in self.summary:
-            if s == size and m == method:
-                return mean
-        raise KeyError(f"no summary cell for size={size}, method={method}")
+        if (size, method) not in self._means:
+            raise KeyError(f"no summary cell for size={size}, method={method}")
+        return self._means[size, method]
 
 
 def size_sweep(sizes, methods, seeds, cell_fn, out_csv=None, out_summary_csv=None, out_svg=None) -> SweepResult:
@@ -114,23 +116,19 @@ def size_sweep(sizes, methods, seeds, cell_fn, out_csv=None, out_summary_csv=Non
     seeds = list(seeds)
 
     rows = []
-    for size in sizes:
-        for method in methods:
-            for seed in seeds:
-                rows.append((size, method, seed, cell_fn(size, method, seed)))
-
     summary = []
     for size in sizes:
         for method in methods:
-            aucs = [a for s, m, _, a in rows if s == size and m == method and a is not None]
-            n_div = sum(1 for s, m, _, a in rows if s == size and m == method and a is None)
+            cell = [cell_fn(size, method, seed) for seed in seeds]
+            rows += [(size, method, seed, auc) for seed, auc in zip(seeds, cell)]
+            aucs = [a for a in cell if a is not None]
             if aucs:
                 mean = float(np.mean(aucs))
                 std = float(np.std(aucs))
             else:
                 mean = np.nan
                 std = np.nan
-            summary.append((size, method, mean, std, len(aucs), n_div))
+            summary.append((size, method, mean, std, len(aucs), len(cell) - len(aucs)))
 
     if out_csv is not None:
         with open(out_csv, "w", encoding="utf-8", newline="\n") as f:

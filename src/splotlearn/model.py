@@ -15,8 +15,7 @@ import numpy as np
 from .data import cwola_label
 from .evaluation import roc_auc
 from .losses import (
-    LossEval, LossInputError, LossKind, _exact_likelihood, _plain_ce, check_densities, check_labels, constrained_mse,
-    weighted_ce,
+    LossInputError, LossKind, _exact_likelihood, _plain_ce, check_densities, check_labels, constrained_mse, weighted_ce,
 )
 
 MAGIC = b"SPML"
@@ -307,10 +306,6 @@ def _loss_columns(kind: LossKind, ds) -> tuple[np.ndarray, ...]:
     return (y,)
 
 
-def _eval_loss(kind: LossKind, z: np.ndarray, cols: tuple[np.ndarray, ...]) -> LossEval:
-    return _LOSS_FNS[kind](z, *cols)
-
-
 def train(
     model: Mlp,
     ds,
@@ -373,7 +368,7 @@ def train(
 
     def record(step: int) -> None:
         z = model.forward(x_train)
-        tr = _eval_loss(kind, z, cols).loss / n
+        tr = _LOSS_FNS[kind](z, *cols).loss / n
         if l2 > 0:
             tr += l2 * float(model.theta @ model.theta)
         te = np.nan
@@ -381,7 +376,7 @@ def train(
         if x_test is not None:
             zt = model.forward(x_test)
             if test_cols is not None:
-                te = _eval_loss(kind, zt, test_cols).loss / x_test.shape[0]
+                te = _LOSS_FNS[kind](zt, *test_cols).loss / x_test.shape[0]
                 if l2 > 0:
                     te += l2 * float(model.theta @ model.theta)
             if test_labels is not None:
@@ -417,7 +412,7 @@ def train(
         cursor += opt.batch_size
 
         z, cache = model._forward_cached(x_train[idx])
-        le = _eval_loss(kind, z, tuple(c[idx] for c in cols))
+        le = _LOSS_FNS[kind](z, *(c[idx] for c in cols))
         if not np.isfinite(le.loss) or not np.all(np.isfinite(le.grad)):
             raise TrainingDiverged(step, kind, make_report(True, step, "non-finite batch loss or gradient"), "non-finite batch loss or gradient")
         grad = model.backward(cache, le.grad, out=grad_buffer)

@@ -245,18 +245,6 @@ def compute_sweights(masses, mm: MixtureModel, yields=None) -> SWeightTable:
 
     fitted = mm.with_yields(yields)
 
-    if mm.n_species == 1:
-        # Degenerate single-species check: Vinv collapses to a scalar n/N^2,
-        # so every weight equals N / n.
-        denom = p @ yields
-        flagged = np.flatnonzero(denom < DENOMINATOR_FLOOR)
-        goodmask = denom >= DENOMINATOR_FLOOR
-        vinv = np.array([[goodmask.sum() / yields[0] ** 2]])
-        v = np.array([[yields[0] ** 2 / goodmask.sum()]])
-        weights = np.zeros((len(masses), 1))
-        weights[goodmask, 0] = yields[0] / goodmask.sum()
-        return SWeightTable(weights, v, vinv, yields, list(mm.names), flagged, 1.0)
-
     vinv, flagged = compute_vinv(masses, fitted)
     v, cond = _invert_vinv(vinv)
 

@@ -1,7 +1,9 @@
 """Config validation, artifact emission, manifest integrity, exit codes, determinism."""
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import re
 import time
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import splotlearn.cli as cli
 from splotlearn.cli import CONFIG, SHAPES, ConfigError, Shape, _load_dataset, load_config, main, parse_config
@@ -372,6 +376,59 @@ def test_sweep_threads_write_the_same_bytes(tmp_path):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
 
+def test_sweep_pool_has_no_more_workers_than_cells(tmp_path, monkeypatch):
+    workers = []
+
+    class SerialPool:
+        """Records the pool size and maps in this process, so no worker starts."""
+
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    cfg = base_config(tmp_path / "out", n=600, steps=20)
+    cfg["sizes"] = [200, 400]
+    cfg["sweep"] = {"test_n": 400}
+    path = write_config(tmp_path, cfg)
+    for threads in ("64", "2", "1"):
+        assert main(["sweep", "--config", str(path), "--threads", threads, "--out", str(tmp_path / threads)]) == 0
+    assert workers == [2, 2]  # two cells; one thread maps without a pool
+    for name in ["sweep.csv", "sweep_summary.csv", "sweep.svg", "manifest.json"]:
+        assert (tmp_path / "64" / name).read_bytes() == (tmp_path / "1" / name).read_bytes(), name
+
+
+def events_csv(ds, mass=repr) -> bytes:
+    """``ds`` as a CSV with columns mass, label, a, b."""
+    rows = [[mass(m), str(y), *map(repr, x)] for m, y, x in zip(ds.m.tolist(), ds.y.tolist(), ds.X.tolist())]
+    return ("\n".join(["mass,label,a,b"] + [",".join(r) for r in rows]) + "\n").encode()
+
+
+def csv_config(tmp_path, csv_path, **kw):
+    cfg = base_config(tmp_path / "out", **kw)
+    cfg["data"] = {"csv": {"path": str(csv_path), "mass_column": "mass", "label_column": "label"}}
+    return cfg
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_an_error_in_a_sweep_cell_exits_with_its_code(tmp_path, capsys, threads):
+    # with integer masses no window around 4 holds half of a train set, and cwola fails inside the cell
+    csv_path = tmp_path / "events.csv"
+    csv_path.write_bytes(events_csv(generate_synthetic(600, 0.5, 7, n_features=2), mass=lambda m: repr(float(round(m)))))
+    cfg = csv_config(tmp_path, csv_path, steps=5, methods=["cwola"])
+    cfg["sizes"] = [100, 200]
+    assert main(["sweep", "--config", str(write_config(tmp_path, cfg)), "--threads", threads]) == 3
+    assert "data error: requested inside fraction 0.5 unreachable" in capsys.readouterr().err
+
+
 def counting(monkeypatch, name):
     """Replace ``splotlearn.cli.<name>`` by a wrapper that records its calls' arguments."""
     calls = []
@@ -427,6 +484,48 @@ def test_csv_rejected_rows_are_counted(tmp_path):
         assert summary["n_rows_read"] == 800
         assert summary["n_rows_rejected"] == 2
     assert json.loads((tmp_path / "run" / "dataset_summary.json").read_text())["n_total"] == 798
+
+
+_FUZZ_CSV = events_csv(generate_synthetic(60, 0.5, 11, n_features=2))
+
+
+@st.composite
+def mutated_csvs(draw):
+    """A small CSV with one to three flipped bytes, inserted 0xff bytes, long quoted cells or truncated lines."""
+    data = bytearray(_FUZZ_CSV)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(data) - 1))
+        kind = draw(st.sampled_from(["flip", "xff", "long", "truncate"]))
+        if kind == "flip":
+            data[i] ^= draw(st.integers(1, 255))
+        elif kind == "xff":
+            data[i:i] = b"\xff"
+        elif kind == "long":
+            data[i:i] = b'"' + b"1" * 140_000 + b'"'
+        else:
+            end = data.find(b"\n", i)
+            del data[i : len(data) if end < 0 else end]
+    return bytes(data)
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    csv_path = tmp_path / "events.csv"
+    return write_config(tmp_path, csv_config(tmp_path, csv_path)), csv_path
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(mutated_csvs())
+def test_bad_csv_bytes_never_end_in_a_traceback(fuzz_files, data):
+    config_path, csv_path = fuzz_files
+    csv_path.write_bytes(data)
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["sweights", "--config", str(config_path)])
+    assert code in (0, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 3:
+        assert re.search(r"line \d+|column '", err.getvalue()), err.getvalue()
 
 
 def test_sweep_without_sizes_is_config_error(tmp_path):

@@ -215,6 +215,35 @@ def test_ingest_skips_a_utf8_bom(tmp_path):
     assert ds.m[0] == 4.0 and ds.feature_names == ["a"]
 
 
+def test_ingest_rejects_bytes_that_are_not_utf8_with_their_line(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"mass,a\n1.0,2.0\n\xff\xfe,3\n")
+    with pytest.raises(DataError, match="line 3"):
+        ingest_csv(path, CsvSchema(mass="mass"))
+    path.write_bytes("mass,café\n1.0,2.0\n".encode("latin-1"))
+    with pytest.raises(DataError, match="line 1: .* not UTF-8"):
+        ingest_csv(path, CsvSchema(mass="mass"))
+
+
+_LONG_CELL = "1" * 140_000  # over csv's default field size limit of 131 072 characters
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("mass,a\n1.0,2.0\n" + _LONG_CELL + ",3\n", 3),
+        ('mass,a\n1.0,2.0\n"' + _LONG_CELL + '",3\n', 3),
+        ("mass,a" + _LONG_CELL + "\n1.0,2.0\n", 1),
+    ],
+    ids=["plain", "quoted", "header"],
+)
+def test_ingest_rejects_a_cell_over_the_field_size_limit_with_its_line(tmp_path, text, line):
+    path = tmp_path / "long.csv"
+    write_csv(path, text)
+    with pytest.raises(DataError, match=f"line {line}: field larger than field limit"):
+        ingest_csv(path, CsvSchema(mass="mass"))
+
+
 @pytest.mark.parametrize("header, dup", [("mass,label,a,a", "a"), ("mass,label,mass", "mass"), ("mass, a,a ", "a")])
 def test_ingest_rejects_duplicate_column_names(tmp_path, header, dup):
     path = tmp_path / "dup.csv"
@@ -252,17 +281,18 @@ _PLAIN_CELLS, _ODD_CELLS = _CELLS[:25], _CELLS[25:]  # numbers and non-finite va
 def csv_bodies(draw, n_fields=3):
     """Rows of ``n_fields`` plain cells with ``\\n`` line ends, with up to three odd parts.
 
-    An odd part is a cell from ``_ODD_CELLS``, a short, long, blank or
-    whitespace-only line, or a ``\\r`` line end.
+    An odd part is a cell from ``_ODD_CELLS``, a cell over csv's field size
+    limit, a short, long, blank or whitespace-only line, or a ``\\r`` line end.
     """
     lines = [[draw(st.sampled_from(_PLAIN_CELLS)) for _ in range(n_fields)] for _ in range(draw(st.integers(0, 8)))]
     ends = ["\n"] * len(lines)
     for _ in range(draw(st.sampled_from([0, 0, 1, 1, 3])) if lines else 0):
         i = draw(st.integers(0, len(lines) - 1))
-        part = draw(st.sampled_from(["cell", "cell", "short", "long", "blank", "spaces", "end"]))
-        if part == "cell":
+        part = draw(st.sampled_from(["cell", "cell", "huge", "short", "long", "blank", "spaces", "end"]))
+        if part in ("cell", "huge"):
             if lines[i]:
-                lines[i][draw(st.integers(0, len(lines[i]) - 1))] = draw(st.sampled_from(_ODD_CELLS))
+                cell = _LONG_CELL if part == "huge" else draw(st.sampled_from(_ODD_CELLS))
+                lines[i][draw(st.integers(0, len(lines[i]) - 1))] = cell
         elif part == "end":
             ends[i] = draw(st.sampled_from(["\r\n", "\r"]))
         else:

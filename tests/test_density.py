@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.stats import chi2
+from scipy.stats import chi2, truncexpon, truncnorm, uniform
 
 from splotlearn.density import (
     MixtureDensity,
@@ -26,6 +26,18 @@ def builtin_densities():
             [TruncatedGaussian(4.0, 1.0, 0.0, 8.0), TruncatedExponential(0.4, 0.0, 8.0)], [0.35, 0.65]
         ),
     ]
+
+
+def scipy_cdf(d):
+    """The distribution function of ``d`` from ``scipy.stats``, an oracle independent of the sampler."""
+    lo, hi = d.support
+    if isinstance(d, MixtureDensity):
+        return lambda m: sum(w * scipy_cdf(c)(m) for w, c in zip(d.weights, d.components))
+    if isinstance(d, Uniform):
+        return uniform(loc=lo, scale=hi - lo).cdf
+    if isinstance(d, TruncatedGaussian):
+        return truncnorm((lo - d.mu) / d.sigma, (hi - d.mu) / d.sigma, loc=d.mu, scale=d.sigma).cdf
+    return truncexpon(d.rate * (hi - lo), loc=lo, scale=1.0 / d.rate).cdf
 
 
 # ---------------------------------------------------------------------------
@@ -141,25 +153,18 @@ def test_sampling_chi2_consistency():
         m = d.sample(100_000, seed=2024)
         edges = np.linspace(lo, hi, 51)
         observed, _ = np.histogram(m, bins=edges)
-        expected = len(m) * np.diff(np.asarray(d.cdf(edges)))
+        expected = len(m) * np.diff(scipy_cdf(d)(edges))
         stat = np.sum((observed - expected) ** 2 / expected)
         p_value = chi2.sf(stat, df=50 - 1)
         assert p_value > 0.001, (d, p_value)
 
 
 def test_truncated_gaussian_quantile_error_below_1e4():
-    # exact quantile oracle via bisection on the closed-form cdf
+    # exact quantile oracle: scipy's truncated normal
     d = TruncatedGaussian(4.0, 1.0, 0.0, 8.0)
     u = np.linspace(1e-6, 1.0 - 1e-6, 4001)
     approx = d._quantile(u)
-    lo = np.full_like(u, 0.0)
-    hi = np.full_like(u, 8.0)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        too_low = np.asarray(d.cdf(mid)) < u
-        lo = np.where(too_low, mid, lo)
-        hi = np.where(too_low, hi, mid)
-    exact = 0.5 * (lo + hi)
+    exact = truncnorm(-4.0, 4.0, loc=4.0, scale=1.0).ppf(u)
     assert np.max(np.abs(approx - exact)) < 1e-4
 
 
@@ -195,7 +200,3 @@ def test_mixture_density_matches_component_evaluate():
 def test_mixture_model_names_default():
     assert canonical_mixture(1, 1).names == ["signal", "background"]
 
-
-def test_mixture_model_sampling_deterministic():
-    mm = canonical_mixture(600, 400)
-    np.testing.assert_array_equal(mm.sample(5000, seed=9), mm.sample(5000, seed=9))

@@ -6,7 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from splotlearn.data import generate_synthetic
-from splotlearn.density import Density1D, MixtureModel, TruncatedExponential, TruncatedGaussian, Uniform, canonical_mixture
+from splotlearn.density import (
+    Density1D, MixtureDensity, MixtureModel, TruncatedExponential, TruncatedGaussian, Uniform, canonical_mixture,
+)
 from splotlearn.splot import (
     _CSV_BLOCK_ROWS,
     SplotError,
@@ -17,6 +19,11 @@ from splotlearn.splot import (
     conditional_sweight_check,
     fit_yields,
 )
+
+
+def sample_mixture(mm, n, seed):
+    """``n`` masses drawn from ``mm``'s species in proportion to their yields."""
+    return MixtureDensity(mm.components, mm.yields / mm.yields.sum()).sample(n, seed)
 
 
 def disjoint_mixture(n_signal, n_background):
@@ -93,7 +100,7 @@ def test_vinv_all_degenerate_is_error():
 
 def test_vinv_symmetric_positive_semidefinite():
     mm = canonical_mixture(700, 300)
-    masses = mm.sample(5000, seed=3)
+    masses = sample_mixture(mm, 5000, seed=3)
     vinv, _ = compute_vinv(masses, mm)
     np.testing.assert_allclose(vinv, vinv.T, rtol=1e-9)
     assert np.all(np.linalg.eigvalsh(vinv) >= 0.0)
@@ -110,11 +117,11 @@ def test_single_event_identical_densities_fails_inversion():
 
 
 def test_single_species_degenerate_check():
-    # the transformation collapses to a scalar and every weight is N/n = 1
+    # the transformation needs two species to separate
     mm = MixtureModel([TruncatedGaussian(4, 1, 0, 8)], [123.0])
     masses = mm.components[0].sample(50, seed=1)
-    table = compute_sweights(masses, mm)
-    np.testing.assert_allclose(table.weights[:, 0], 1.0, atol=1e-12)
+    with pytest.raises(SplotError, match="at least 2 species"):
+        compute_sweights(masses, mm)
 
 
 def test_disjoint_supports_give_indicator_weights():
@@ -130,7 +137,7 @@ def test_disjoint_supports_give_indicator_weights():
 
 def test_sweights_match_naive_loop_oracle():
     mm = canonical_mixture(650, 350)
-    masses = mm.sample(1000, seed=21)
+    masses = sample_mixture(mm, 1000, seed=21)
     table = compute_sweights(masses, mm)
     fitted = table.yields
     vinv_naive, weights_naive = naive_vinv_and_weights(masses, mm.components, fitted)
@@ -140,7 +147,7 @@ def test_sweights_match_naive_loop_oracle():
 
 def test_sweight_identities_with_ml_yields():
     mm = canonical_mixture(550, 450)
-    masses = mm.sample(10_000, seed=5)
+    masses = sample_mixture(mm, 10_000, seed=5)
     table = compute_sweights(masses, mm)
     np.testing.assert_allclose(table.weights.sum(axis=1), 1.0, atol=1e-6)
     np.testing.assert_allclose(table.weights.sum(axis=0), table.yields, rtol=1e-4)
@@ -150,14 +157,14 @@ def test_sweight_identities_with_ml_yields():
 def test_sweights_covariance_identity():
     # sum_e w_e w_e^T = V Vinv V = V, since weights and Vinv share their denominators
     mm = canonical_mixture(550, 450)
-    masses = np.concatenate([mm.sample(10_000, seed=5), [11.0, -3.0]])
+    masses = np.concatenate([sample_mixture(mm, 10_000, seed=5), [11.0, -3.0]])
     table = compute_sweights(masses, mm)
     np.testing.assert_allclose(table.weights.T @ table.weights, table.v, rtol=1e-9)
 
 
 def test_sweights_evaluate_each_density_three_times(monkeypatch):
     mm = canonical_mixture(300, 700)
-    masses = np.concatenate([mm.sample(2000, seed=11), [9.0]])
+    masses = np.concatenate([sample_mixture(mm, 2000, seed=11), [9.0]])
     calls = []
     evaluate = Density1D.evaluate
     monkeypatch.setattr(Density1D, "evaluate", lambda self, m: calls.append(self) or evaluate(self, m))
@@ -173,7 +180,7 @@ def test_sweights_evaluate_each_density_three_times(monkeypatch):
 
 def test_flagged_events_get_zero_weights():
     mm = canonical_mixture(500, 500)
-    masses = np.concatenate([mm.sample(500, seed=2), [11.0]])
+    masses = np.concatenate([sample_mixture(mm, 500, seed=2), [11.0]])
     table = compute_sweights(masses, mm)
     np.testing.assert_array_equal(table.flagged_events, [500])
     np.testing.assert_array_equal(table.weights[500], [0.0, 0.0])
@@ -182,7 +189,7 @@ def test_flagged_events_get_zero_weights():
 
 def test_sweights_csv_export_roundtrip(tmp_path):
     mm = canonical_mixture(300, 700)
-    masses = mm.sample(64, seed=9)
+    masses = sample_mixture(mm, 64, seed=9)
     table = compute_sweights(masses, mm)
     path = tmp_path / "sweights.csv"
     table.to_csv(path)
@@ -251,7 +258,7 @@ def reference_em_trace(masses, shapes, init, total, max_iter):
 def test_fit_yields_iterates_match_responsibility_matrix_update(n_events, n_species):
     shapes = [TruncatedGaussian(4.0, 1.0, 0, 8), TruncatedExponential(0.4, 0, 8), Uniform(0, 8)][:n_species]
     fractions = np.array([0.3, 0.5, 0.2][:n_species])
-    masses = MixtureModel(shapes, fractions).sample(n_events, seed=n_events)
+    masses = sample_mixture(MixtureModel(shapes, fractions), n_events, seed=n_events)
     init = np.full(n_species, n_events / n_species)
     trace = []
     try:
@@ -275,7 +282,7 @@ def test_fit_yields_disjoint_counts():
 def test_fit_yields_recovers_truth_within_clt_bound():
     true_ns, true_nb = 70_000, 30_000
     mm = canonical_mixture(true_ns, true_nb)
-    masses = mm.sample(true_ns + true_nb, seed=17)
+    masses = sample_mixture(mm, true_ns + true_nb, seed=17)
     fitted = fit_yields(masses, mm.components, [50_000.0, 50_000.0], 100_000.0)
     assert abs(fitted[0] - true_ns) < 3 * np.sqrt(true_ns)
     assert abs(fitted[1] - true_nb) < 3 * np.sqrt(true_nb)
@@ -285,7 +292,7 @@ def test_fit_yields_loglik_nondecreasing():
     # the 1e-12 per-step tolerance scales with the summed magnitude: one ulp
     # of a ~3e4 log-likelihood is already 4e-12
     mm = canonical_mixture(300, 700)
-    masses = mm.sample(5000, seed=29)
+    masses = sample_mixture(mm, 5000, seed=29)
     trace = []
     fit_yields(masses, mm.components, [2500.0, 2500.0], 5000.0, callback=lambda y, ll: trace.append(ll))
     trace = np.asarray(trace)
@@ -301,7 +308,7 @@ def test_fit_yields_identical_shapes_flat_direction():
 
 def test_fit_yields_nonconvergence_carries_last_iterate():
     mm = canonical_mixture(600, 400)
-    masses = mm.sample(2000, seed=31)
+    masses = sample_mixture(mm, 2000, seed=31)
     with pytest.raises(YieldFitError) as excinfo:
         fit_yields(masses, mm.components, [1000.0, 1000.0], 2000.0, max_iter=2)
     last = excinfo.value.last_yields
@@ -391,7 +398,7 @@ def mixtures(draw):
 @given(mixtures(), st.integers(500, 3_000), st.integers(0, 2**32 - 1))
 def test_sweight_identities_hold_for_random_mixtures(mixture, n_events, seed):
     shapes, fractions = mixture
-    masses = MixtureModel(shapes, fractions * n_events).sample(n_events, seed)
+    masses = sample_mixture(MixtureModel(shapes, fractions * n_events), n_events, seed)
     try:
         # start the fit away from the generating yields
         table = compute_sweights(masses, MixtureModel(shapes, np.full(len(shapes), n_events / len(shapes))))
