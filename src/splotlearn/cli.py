@@ -366,6 +366,8 @@ def _run_training_stage(cfg: ExperimentConfig, out_dir: Path, seed: int, methods
         "fitted_yields_test": [float(v) for v in test_table.yields],
         "v_condition_number": train_table.condition_number,
         "n_features": int(train_ds.X.shape[1]),
+        "fit_train": train_table.diagnostics(),
+        "fit_test": test_table.diagnostics(),
     }
 
     reports = {}
@@ -491,6 +493,7 @@ def cmd_sweights(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
         "n_flagged": int(table.flagged_events.size),
         "fitted_yields": [float(v) for v in table.yields],
         "v_condition_number": table.condition_number,
+        "fit": table.diagnostics(),
     }
     _json_dump(summary, out_dir / "sweights_summary.json")
     _write_manifest(out_dir, "sweights", cfg, [seed], [path, out_dir / "sweights_summary.json"])

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import gzip
 import io
+import zlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -174,11 +175,13 @@ def attach_sweights(ds: Dataset, mm: MixtureModel):
     if mm.n_species != 2:
         raise DataError(f"training columns assume 2 species, mixture has {mm.n_species}")
     table = splot.compute_sweights(ds.m, mm)
-    keep = np.setdiff1d(np.arange(ds.n), table.flagged_events)
-    out = ds.subset(keep)
-    p = mm.component_densities(out.m)
-    out = out.with_columns(sweights=table.weights[keep], ps=p[:, 0], pb=p[:, 1])
-    return out, table
+    if table.flagged_events.size == 0:
+        # the columns share the table's arrays and the events' arrays
+        out, weights, p = ds, table.weights, table.densities
+    else:
+        keep = np.setdiff1d(np.arange(ds.n), table.flagged_events)
+        out, weights, p = ds.subset(keep), table.weights[keep], table.densities[keep]
+    return out.with_columns(sweights=weights, ps=p[:, 0], pb=p[:, 1]), table
 
 
 @dataclass
@@ -259,33 +262,36 @@ def ingest_csv(path, schema: CsvSchema):
         handle = opener(path, "rt", encoding="utf-8-sig", errors="surrogateescape", newline="")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
-    with handle as f:
-        try:
-            header = next(csv.reader(f))
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        except csv.Error as exc:
-            raise DataError(f"{path}: line 1: {exc}") from None
-        header = [h.strip() for h in header]
-        for i, h in enumerate(header):
-            if h in header[:i]:
-                raise DataError(f"{path}: duplicate column {h!r}")
-            if any("\udc80" <= c <= "\udcff" for c in h):
-                raise DataError(f"{path}: line 1: column {h!r} is not UTF-8 text")
+    try:
+        with handle as f:
+            header = next(csv.reader(f), None)
+            body = f.read()
+    except csv.Error as exc:
+        raise DataError(f"{path}: line 1: {exc}") from None
+    except (OSError, EOFError, zlib.error) as exc:
+        # a gzip stream that is truncated, corrupt or not gzip at all fails on its first read
+        raise DataError(f"cannot read {path}: {exc}") from None
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    header = [h.strip() for h in header]
+    for i, h in enumerate(header):
+        if h in header[:i]:
+            raise DataError(f"{path}: duplicate column {h!r}")
+        if any("\udc80" <= c <= "\udcff" for c in h):
+            raise DataError(f"{path}: line 1: column {h!r} is not UTF-8 text")
 
-        required = [schema.mass] + ([schema.label] if schema.label else [])
-        for col in required:
+    required = [schema.mass] + ([schema.label] if schema.label else [])
+    for col in required:
+        if col not in header:
+            raise DataError(f"{path}: missing declared column {col!r}")
+    if schema.features is None:
+        feature_cols = [h for h in header if h not in required]
+    else:
+        feature_cols = list(schema.features)
+        for col in feature_cols:
             if col not in header:
                 raise DataError(f"{path}: missing declared column {col!r}")
-        if schema.features is None:
-            feature_cols = [h for h in header if h not in required]
-        else:
-            feature_cols = list(schema.features)
-            for col in feature_cols:
-                if col not in header:
-                    raise DataError(f"{path}: missing declared column {col!r}")
-        col_idx = {h: i for i, h in enumerate(header)}
-        body = f.read()
+    col_idx = {h: i for i, h in enumerate(header)}
 
     parsed = _parse_body_fast(body, len(header))
     table, n_read, rejected = parsed if parsed is not None else _parse_body_strict(path, body, len(header))
@@ -342,8 +348,12 @@ def _parse_body_strict(path, body: str, n_fields: int):
     rejected = []
     n_read = 0
     reader = csv.reader(io.StringIO(body, newline=""))
+    end = 0
     try:
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            # a record starts on the physical line after the previous one
+            # ended (a quoted cell may hold newlines); line 1 is the header
+            line_no, end = end + 2, reader.line_num
             if not row:
                 continue
             n_read += 1

@@ -243,10 +243,14 @@ class MixtureModel:
         return MixtureModel(self.components, yields, names=self.names)
 
     def component_densities(self, masses) -> np.ndarray:
-        """Matrix ``P[e, k] = p_k(m_e)`` of per-species density values."""
+        """Matrix ``P[e, k] = p_k(m_e)`` of per-species density values.
+
+        The matrix is stored species by species (Fortran order), so each
+        species' column is contiguous for the per-species passes over events.
+        """
         arr, _ = _as_array(masses)
         arr = np.atleast_1d(arr)
-        return np.column_stack([np.asarray(c.evaluate(arr)) for c in self.components])
+        return np.array([np.asarray(c.evaluate(arr)) for c in self.components]).T
 
     def mixture_density(self, masses):
         """Per-species values and the yield-weighted denominator.

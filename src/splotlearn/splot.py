@@ -11,7 +11,10 @@ and the per-event weights
 
 With yields fitted by maximum likelihood on the same events, the weights
 satisfy exact identities: they sum to 1 across species for every event, and
-to the fitted yield across events for every species.
+to the fitted yield across events for every species.  A species fitted to
+exactly 0 sits on the boundary of the likelihood's domain, where its
+gradient may fall short of the others'; it is left out of Vinv and gets an
+all-zero weight column, which keeps both identities exact.
 """
 
 from __future__ import annotations
@@ -24,8 +27,12 @@ from .density import DENOMINATOR_FLOOR, Density1D, MixtureModel
 
 CONDITION_LIMIT = 1e12
 
-_EM_TOL = 1e-10
-_EM_MAX_ITER = 10_000
+# The fit stops when every optimality condition holds to this fraction of n / total.
+_FIT_TOL = 1e-12
+_FIT_MAX_ITER = 200
+# A step that lowers the log-likelihood by less than this fraction of
+# max(|L|, n) is within the rounding of L and counts as no change.
+_LOGLIK_SLACK = 1e-13
 
 # Rows formatted per write. Larger blocks are no faster, and the Python
 # floats and strings of a block stay resident in the allocator afterwards.
@@ -60,6 +67,26 @@ class SWeightTable:
     species: list[str]
     flagged_events: np.ndarray
     condition_number: float
+    # p_k(m_e) for every input event, flagged ones included
+    densities: np.ndarray | None = None
+    # how the yield fit ended (None when the yields were given)
+    fit_iterations: int | None = None
+    fit_loglik: float | None = None
+    kkt_residual: float | None = None
+    # max_e |sum_k w_ek - 1| over unflagged events, and
+    # max_k |sum_e w_ek - N_k| relative to the total yield
+    event_sum_residual: float | None = None
+    species_sum_residual: float | None = None
+
+    def diagnostics(self) -> dict:
+        """The fit's and the identities' deterministic figures, for the run summaries."""
+        return {
+            "fit_iterations": self.fit_iterations,
+            "fit_loglik": self.fit_loglik,
+            "kkt_residual": self.kkt_residual,
+            "event_sum_residual": self.event_sum_residual,
+            "species_sum_residual": self.species_sum_residual,
+        }
 
     @property
     def n_events(self) -> int:
@@ -82,15 +109,11 @@ class SWeightTable:
                 f.write("".join(map(row.format, range(start, stop), *columns)))
 
 
-def _density_matrix(masses, mm: MixtureModel):
-    masses = np.atleast_1d(np.asarray(masses, dtype=float))
-    p, denom = mm.mixture_density(masses)
-    good = denom >= DENOMINATOR_FLOOR
-    return masses, p, denom, good
-
-
-def compute_vinv(masses, mm: MixtureModel):
+def compute_vinv(masses, mm: MixtureModel, *, densities=None):
     """Accumulate the inverse covariance matrix over non-degenerate events.
+
+    ``densities`` is ``mm.component_densities(masses)`` when the caller
+    already holds it.
 
     Returns
     -------
@@ -102,13 +125,17 @@ def compute_vinv(masses, mm: MixtureModel):
     """
     if mm.n_species < 2:
         raise SplotError("covariance matrix needs at least 2 species")
-    masses, p, denom, good = _density_matrix(masses, mm)
+    p = mm.component_densities(masses) if densities is None else densities
+    denom = mm.denominator(p)
+    good = denom >= DENOMINATOR_FLOOR
     flagged = np.flatnonzero(~good)
-    if not np.any(good):
+    if flagged.size == len(denom):
         raise SplotError("all events have a degenerate mixture denominator")
-    a = p[good] / denom[good, None]
+    if flagged.size:
+        p, denom = p[good], denom[good]
+    a = p.T / denom
     # einsum keeps the per-event reduction single-threaded and deterministic
-    vinv = np.einsum("ek,ej->kj", a, a)
+    vinv = np.einsum("ke,je->kj", a, a)
     return vinv, flagged
 
 
@@ -131,33 +158,108 @@ def _invert_vinv(vinv: np.ndarray):
     return v, cond
 
 
+class FittedYields(np.ndarray):
+    """The yields ``fit_yields`` returns: an ndarray that also tells how the fit ended.
+
+    ``iterations`` counts the steps taken, ``loglik`` is the final
+    ``sum_e log sum_k N_k p_k(m_e)`` and ``kkt_residual`` the final
+    optimality residual relative to ``n / total``.
+    """
+
+    iterations = 0
+    loglik = float("nan")
+    kkt_residual = float("nan")
+
+
+def _kkt_residual(g: np.ndarray, n: np.ndarray, lam: float) -> float:
+    """Largest violation of g_k = lam (N_k > 0) and g_k <= lam (N_k = 0), relative to lam."""
+    dev = g - lam
+    return float(np.max(np.where(n > 0, np.abs(dev), np.maximum(dev, 0.0)))) / lam
+
+
+def _newton_direction(q: np.ndarray, g: np.ndarray, n: np.ndarray, lam: float):
+    """The Newton step of the log-likelihood under sum(d) = 0, or None where it has none.
+
+    It moves the species with N_k > 0 and those at 0 whose gradient asks to
+    grow; a species at 0 that the step would push below 0 stays fixed.
+    """
+    free = (n > 0) | (g > lam)
+    while True:
+        idx = np.flatnonzero(free)
+        m = len(idx)
+        # [[Q, 1], [1^T, 0]] [d; mu] = [g; 0]: the stationary point of the
+        # quadratic model g.d - d.Q.d / 2 on the plane sum(d) = 0
+        kkt = np.zeros((m + 1, m + 1))
+        kkt[:m, :m] = q[np.ix_(idx, idx)]
+        kkt[:m, m] = kkt[m, :m] = 1.0
+        try:
+            sol = np.linalg.solve(kkt, np.append(g[idx], 0.0))
+        except np.linalg.LinAlgError:
+            return None
+        d = np.zeros_like(n)
+        d[idx] = sol[:m]
+        stuck = (n == 0.0) & (d < 0.0)
+        if not stuck.any():
+            return d if np.all(np.isfinite(d)) and np.any(d) else None
+        free &= ~stuck
+
+
+def _step_to_boundary(n: np.ndarray, d: np.ndarray, total: float) -> np.ndarray:
+    """``n + d``, cut short where a yield reaches 0; that yield is then exactly 0."""
+    shrink = np.flatnonzero(d < 0.0)
+    ratios = n[shrink] / -d[shrink]
+    if ratios.size and ratios.min() < 1.0:
+        j = int(np.argmin(ratios))
+        n_new = n + ratios[j] * d
+        n_new[shrink[j]] = 0.0
+    else:
+        n_new = n + d
+    np.maximum(n_new, 0.0, out=n_new)
+    return n_new * (total / n_new.sum())
+
+
 def fit_yields(
     masses,
     shapes: list[Density1D],
     init_yields,
     total: float,
     *,
-    tol: float = _EM_TOL,
-    max_iter: int = _EM_MAX_ITER,
+    tol: float = _FIT_TOL,
+    max_iter: int = _FIT_MAX_ITER,
     callback=None,
-) -> np.ndarray:
+    densities=None,
+) -> FittedYields:
     """Maximum-likelihood species yields under a fixed total.
 
-    Iterates the EM update ``N_k <- sum_e N_k p_k(m_e) / sum_j N_j p_j(m_e)``
-    (rescaled to keep ``sum_k N_k = total`` when the total differs from the
-    event count) until the largest yield change drops below ``tol`` relative
-    to the total.  The log-likelihood ``sum_e log sum_k N_k p_k(m_e)`` is
-    non-decreasing along the way.
+    Maximises ``L(N) = sum_e log sum_k N_k p_k(m_e)`` over ``N_k >= 0`` with
+    ``sum_k N_k = total``.  With ``a_e = p(m_e) / D_e``, ``D_e = sum_k N_k
+    p_k(m_e)``, the gradient is ``g = sum_e a_e`` and the Hessian is ``-Q``,
+    ``Q = sum_e a_e a_e^T``.  At the maximum every species with ``N_k > 0``
+    has ``g_k = n / total`` and every species at 0 has ``g_k <= n / total``
+    (the KKT conditions); the fit stops when both hold to ``tol`` relative
+    to ``n / total``.  Each step is a Newton step on the plane of fixed
+    total, cut short where a yield reaches 0, which is then set to exactly
+    0; a step that would lower ``L`` is replaced by the EM update
+    ``N_k <- N_k g_k total / n``, so ``L`` never decreases.
 
     Parameters
     ----------
     callback : callable, optional
-        Called as ``callback(yields, loglik)`` after every iteration.
+        Called as ``callback(yields, loglik)`` after every step.
+    densities : ndarray, optional
+        ``p_k(m_e)`` as an (n, k) matrix, when the caller already holds it;
+        ``masses`` is then not evaluated.
+
+    Returns
+    -------
+    FittedYields
+        The yields, with the step count, final log-likelihood and KKT
+        residual as attributes.
 
     Raises
     ------
     YieldFitError
-        If ``max_iter`` iterations do not reach ``tol``; the exception carries
+        If ``max_iter`` steps do not reach ``tol``; the exception carries
         the last iterate.
     SplotError
         If the likelihood has a flat direction (species indistinguishable).
@@ -169,57 +271,71 @@ def fit_yields(
     if not abs(init.sum() - total) <= 1e-6 * max(1.0, abs(total)):
         raise ValueError(f"initial yields sum to {init.sum()!r}, expected total {total!r}")
 
-    masses = np.atleast_1d(np.asarray(masses, dtype=float))
-    p = np.column_stack([np.asarray(s.evaluate(masses)) for s in shapes])
-    good = p.sum(axis=1) > 0.0
+    # one contiguous row per species: the gradient sums each row pairwise
+    if densities is None:
+        masses = np.atleast_1d(np.asarray(masses, dtype=float))
+        pt = np.array([np.asarray(s.evaluate(masses)) for s in shapes])
+    else:
+        p = np.asarray(densities, dtype=float)
+        if p.ndim != 2 or p.shape[1] != len(shapes):
+            raise ValueError(f"densities must have shape (n, {len(shapes)}), got {p.shape}")
+        pt = np.ascontiguousarray(p.T)
+    good = pt.sum(axis=0) > 0.0
     if not np.any(good):
         raise SplotError("all events have zero density under every species")
-    p = p[good]
+    if not np.all(good):
+        pt = pt[:, good]
 
+    n_events = pt.shape[1]
+    lam = n_events / total
     n = init * (total / init.sum())
-    # One species' responsibilities at a time, from a contiguous column.
-    # Summing them in event order gives the bits of the (n, k)
-    # responsibility matrix's sequential axis-0 sum; np.sum of a 1-D array
-    # would sum pairwise instead.
-    pt = np.ascontiguousarray(p.T)
-    r = np.empty(pt.shape[1])
-    converged = False
-    for _ in range(max_iter):
-        # the floor only matters for events orphaned by a clamped-to-zero
-        # yield: their numerator rows are exactly zero as well
-        denom = p @ n
-        np.maximum(denom, 1e-300, out=denom)
-        n_new = np.empty_like(n)
-        for k, pk in enumerate(pt):
-            np.multiply(pk, n[k], out=r)
-            np.divide(r, denom, out=r)
-            n_new[k] = np.add.accumulate(r, out=r)[-1]
-        # a yield this deep into the boundary is an exact zero of the map;
-        # clamping ends the otherwise geometric crawl toward it
-        n_new[n_new < 1e-9 * total] = 0.0
-        n_new *= total / n_new.sum()
-        if callback is not None:
-            callback(n_new.copy(), float(np.sum(np.log(np.maximum(p @ n_new, 1e-300)))))
-        delta = np.max(np.abs(n_new - n)) / total
-        n = n_new
-        if delta < tol:
-            converged = True
-            break
-    if not converged:
-        raise YieldFitError(f"yield fit did not converge within {max_iter} iterations", n)
 
-    # Flat likelihood direction: the curvature matrix of the fitted mixture is singular.
-    denom = p @ n
-    a = p / denom[:, None]
-    curvature = np.einsum("ek,ej->kj", a, a)
-    if len(shapes) >= 2:
-        cond = float(np.linalg.cond(curvature))
+    def state(n):
+        # the floor only matters for events orphaned by a yield at 0
+        denom = np.maximum(n @ pt, 1e-300)
+        return denom, float(np.sum(np.log(denom)))
+
+    denom, loglik = state(n)
+    a = np.empty_like(pt)
+    for it in range(max_iter + 1):
+        np.divide(pt, denom, out=a)
+        g = a.sum(axis=1)
+        q = np.einsum("ke,je->kj", a, a)
+        residual = _kkt_residual(g, n, lam)
+        if residual <= tol:
+            break
+        if it == max_iter:
+            raise YieldFitError(f"yield fit did not converge within {max_iter} steps (KKT residual {residual:.3e})", n)
+        d = _newton_direction(q, g, n, lam)
+        if d is not None:
+            n_new = _step_to_boundary(n, d, total)
+            # L(n_new) - L(n) = sum_e log(1 + a_e.(n_new - n)), free of the
+            # cancellation between two sums of n logs
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gain = np.sum(np.log1p((n_new - n) @ a))
+        # near the maximum the true gain is smaller than the change that
+        # rounding the yields to their total alone makes to L
+        if d is None or not gain >= -_LOGLIK_SLACK * max(abs(loglik), n_events):
+            # the EM update never lowers L
+            n_new = n * g
+            n_new *= total / n_new.sum()
+        n = n_new
+        denom, loglik = state(n)
+        if callback is not None:
+            callback(n.copy(), loglik)
+
+    # Flat likelihood direction: the curvature of the species still in the fit is singular.
+    live = np.flatnonzero(n > 0)
+    if len(live) >= 2:
+        cond = float(np.linalg.cond(q[np.ix_(live, live)]))
         if not np.isfinite(cond) or cond > CONDITION_LIMIT:
             raise SplotError(
                 "species indistinguishable: yield likelihood has a flat direction "
                 f"(curvature condition number {cond:.3e})"
             )
-    return n
+    out = n.view(FittedYields)
+    out.iterations, out.loglik, out.kkt_residual = it, loglik, residual
+    return out
 
 
 def compute_sweights(masses, mm: MixtureModel, yields=None) -> SWeightTable:
@@ -228,36 +344,57 @@ def compute_sweights(masses, mm: MixtureModel, yields=None) -> SWeightTable:
     By default the species yields are re-fitted by maximum likelihood on the
     given events (so the exact per-event and per-species sum identities hold);
     pass ``yields`` to override, in which case the identities are only
-    approximate.
+    approximate.  The densities are evaluated once, and the table keeps them.
     """
-    masses, p, _, good = _density_matrix(masses, mm)
+    masses = np.atleast_1d(np.asarray(masses, dtype=float))
+    p = mm.component_densities(masses)
+    good = mm.denominator(p) >= DENOMINATOR_FLOOR
     n_good = int(good.sum())
     if n_good == 0:
         raise SplotError("all events have a degenerate mixture denominator")
 
+    fit = {}
     if yields is None:
         init = mm.yields * (n_good / mm.yields.sum())
-        yields = fit_yields(masses[good], mm.components, init, float(n_good))
+        fit_masses, fit_p = (masses, p) if n_good == len(masses) else (masses[good], p[good])
+        yields = fit_yields(fit_masses, mm.components, init, float(n_good), densities=fit_p)
+        fit = {"fit_iterations": yields.iterations, "fit_loglik": yields.loglik, "kkt_residual": yields.kkt_residual}
     else:
         yields = np.asarray(yields, dtype=float)
         if yields.shape != (mm.n_species,):
             raise ValueError(f"expected {mm.n_species} yields, got shape {yields.shape}")
 
     fitted = mm.with_yields(yields)
+    yields = fitted.yields
 
-    vinv, flagged = compute_vinv(masses, fitted)
-    v, cond = _invert_vinv(vinv)
+    vinv, flagged = compute_vinv(masses, fitted, densities=p)
+    live = np.ix_(yields > 0, yields > 0)
+    v = np.zeros_like(vinv)
+    v[live], cond = _invert_vinv(vinv[live])
 
     denom = fitted.denominator(p)
-    goodmask = denom >= DENOMINATOR_FLOOR
-    # ordered accumulation over species keeps the numerator bit-identical to
-    # the straightforward per-event loop
-    numer = p[:, 0, None] * v[None, :, 0]
-    for j in range(1, fitted.n_species):
-        numer = numer + p[:, j, None] * v[None, :, j]
+    rows = slice(None) if flagged.size == 0 else denom >= DENOMINATOR_FLOOR
+    p_rows, denom = p[rows], denom[rows]
     weights = np.zeros((len(masses), fitted.n_species))
-    weights[goodmask] = numer[goodmask] / denom[goodmask, None]
-    return SWeightTable(weights, v, vinv, yields, list(mm.names), flagged, cond)
+    row_sums = 0.0
+    col_sums = np.empty(fitted.n_species)
+    for i in range(fitted.n_species):
+        # ordered accumulation over species keeps each weight bit-identical
+        # to the straightforward per-event loop
+        w = p_rows[:, 0] * v[i, 0]
+        for j in range(1, fitted.n_species):
+            w += p_rows[:, j] * v[i, j]
+        w /= denom
+        weights[rows, i] = w
+        row_sums = row_sums + w
+        col_sums[i] = w.sum()
+    return SWeightTable(
+        weights, v, vinv, yields, list(mm.names), flagged, cond,
+        densities=p,
+        event_sum_residual=float(np.max(np.abs(row_sums - 1.0))),
+        species_sum_residual=float(np.max(np.abs(col_sums - yields)) / yields.sum()),
+        **fit,
+    )
 
 
 @dataclass

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import gzip
 import hashlib
 import io
 import json
@@ -240,6 +241,18 @@ def test_run_completes_and_writes_artifacts(run_once):
         "manifest.json",
     ]:
         assert (out / name).exists(), name
+    summary = json.loads((out / "dataset_summary.json").read_text())
+    for split_name in ("fit_train", "fit_test"):
+        fit_ok(summary[split_name])
+
+
+def fit_ok(fit):
+    """The summary's record of a yield fit that reached the maximum and weights that keep both sum identities."""
+    assert 1 <= fit["fit_iterations"] <= 10
+    assert fit["kkt_residual"] <= 1e-12
+    assert fit["event_sum_residual"] <= 1e-9
+    assert fit["species_sum_residual"] <= 1e-12
+    assert isinstance(fit["fit_loglik"], float)
 
 
 def test_manifest_lists_every_artifact_with_checksum(run_once):
@@ -332,6 +345,7 @@ def test_sweights_command(tmp_path):
     summary = json.loads((out_dir / "sweights_summary.json").read_text())
     assert summary["n_events"] == 2000
     assert summary["n_rows_read"] == 2000 and summary["n_rows_rejected"] == 0
+    fit_ok(summary["fit"])
     # per-event weights sum to one after the in-run yield fit
     row = [float(v) for v in lines[1].split(",")[1:]]
     assert abs(sum(row) - 1.0) < 1e-6
@@ -487,6 +501,31 @@ def test_csv_rejected_rows_are_counted(tmp_path):
 
 
 _FUZZ_CSV = events_csv(generate_synthetic(60, 0.5, 11, n_features=2))
+
+
+def _cut_in_half(data: bytes) -> bytes:
+    return data[: len(data) // 2]
+
+
+def _flip_20_bytes(data: bytes) -> bytes:
+    out = bytearray(data)
+    for i in np.random.default_rng(3).choice(np.arange(10, len(out)), size=20, replace=False):
+        out[i] ^= 0xFF
+    return bytes(out)
+
+
+@pytest.mark.parametrize(
+    "make", [_cut_in_half, _flip_20_bytes, None], ids=["truncated", "corrupt", "not-gzip"]
+)
+def test_bad_gzip_csv_exits_3(tmp_path, capsys, make):
+    csv_path = tmp_path / "events.csv.gz"
+    plain = events_csv(generate_synthetic(2000, 0.5, 5, n_features=2))
+    csv_path.write_bytes(plain if make is None else make(gzip.compress(plain, mtime=0)))
+    code = main(["sweights", "--config", str(write_config(tmp_path, csv_config(tmp_path, csv_path)))])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert f"data error: cannot read {csv_path}: " in err
+    assert "Traceback" not in err
 
 
 @st.composite

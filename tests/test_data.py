@@ -103,6 +103,7 @@ def test_attach_sweights_columns_and_means():
     mm = canonical_mixture(0.6 * ds.n, 0.4 * ds.n)
     out, table = attach_sweights(ds, mm)
     assert out.sweights is not None and out.ps is not None and out.pb is not None
+    assert_density_columns(out, mm)
     # column means reproduce the fitted yield fractions
     np.testing.assert_allclose(out.sweights.mean(axis=0), table.yields / out.n, rtol=1e-6)
 
@@ -128,6 +129,13 @@ def test_attach_sweights_drops_flagged_rows():
     out, table = attach_sweights(ds, mm)
     assert out.n == 998
     np.testing.assert_array_equal(table.flagged_events, [3, 17])
+    assert_density_columns(out, mm)
+
+
+def assert_density_columns(out, mm):
+    """``ps``/``pb`` carry the bits of each species' density at the kept events."""
+    assert out.ps.tobytes() == mm.components[0].evaluate(out.m).tobytes()
+    assert out.pb.tobytes() == mm.components[1].evaluate(out.m).tobytes()
 
 
 def test_attach_sweights_needs_two_species():
@@ -223,6 +231,19 @@ def test_ingest_rejects_bytes_that_are_not_utf8_with_their_line(tmp_path):
     path.write_bytes("mass,café\n1.0,2.0\n".encode("latin-1"))
     with pytest.raises(DataError, match="line 1: .* not UTF-8"):
         ingest_csv(path, CsvSchema(mass="mass"))
+
+
+def test_ingest_numbers_lines_after_a_quoted_newline(tmp_path):
+    # the first record spans lines 2 and 3, so the bad cell sits on line 4
+    path = tmp_path / "quoted.csv"
+    write_csv(path, 'mass,a\n"1\n",3\nx,4\n')
+    with pytest.raises(DataError, match="line 4: could not convert"):
+        ingest_csv(path, CsvSchema(mass="mass"))
+    write_csv(path, 'mass,a\n"1\n",3\nnan,4\n5,6\n')
+    ds, report = ingest_csv(path, CsvSchema(mass="mass"))
+    assert report.rejected == [(4, "non-finite value")]
+    assert report.n_rows_read == 3
+    np.testing.assert_array_equal(ds.m, [1.0, 5.0])
 
 
 _LONG_CELL = "1" * 140_000  # over csv's default field size limit of 131 072 characters
