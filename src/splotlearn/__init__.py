@@ -21,7 +21,7 @@ from .density import (
 )
 from .splot import SWeightTable, compute_sweights, compute_vinv, fit_yields
 from .losses import LossEval, LossKind, constrained_mse, exact_likelihood, plain_ce, weighted_ce
-from .model import METHOD_KINDS, AdamConfig, Mlp, MlpConfig, TrainingDiverged, TrainReport, train, train_arm
+from .model import METHOD_KINDS, AdamConfig, Mlp, MlpConfig, TrainReport, train, train_arm
 from .data import CsvSchema, CwolaLabeling, Dataset, attach_sweights, cwola_label, generate_synthetic, ingest_csv, split
 from .evaluation import RocResult, learning_curve, roc_auc, size_sweep
 
@@ -41,7 +41,6 @@ __all__ = [
     "RocResult",
     "SWeightTable",
     "TrainReport",
-    "TrainingDiverged",
     "TruncatedExponential",
     "TruncatedGaussian",
     "Uniform",

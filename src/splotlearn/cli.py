@@ -285,6 +285,17 @@ def _load_dataset(cfg: ExperimentConfig, seed: int) -> tuple[Dataset, dict]:
     return ds, {"n_rows_read": report.n_rows_read, "n_rows_rejected": report.n_rejected}
 
 
+def _check_scorable(what: str, test: Dataset, n_train: int | None = None):
+    """Raise DataError before any arm trains unless each part has events and labelled test events hold both classes."""
+    counts = f"{what}: test {test.n}" if n_train is None else f"{what}: train {n_train}, test {test.n}"
+    if test.n == 0 or n_train == 0:
+        raise DataError(f"{counts}; neither part may be empty")
+    if test.y is not None:
+        n_signal = int(np.count_nonzero(test.y))
+        if n_signal in (0, test.n):
+            raise DataError(f"{counts} (signal {n_signal}, background {test.n - n_signal}); the test AUC needs both classes")
+
+
 def _train_method(cfg: ExperimentConfig, method: str, train_ds: Dataset, test_ds: Dataset, seed: int):
     """One training arm from the config; returns the model, its report and the initial-parameter checksum."""
     model = Mlp(cfg.mlp_config(train_ds.X.shape[1], seed))
@@ -345,6 +356,7 @@ def _run_training_stage(cfg: ExperimentConfig, out_dir: Path, seed: int, methods
     """Shared by run and demo-divergence: data -> sWeights -> one model per method."""
     ds, rows = _load_dataset(cfg, seed)
     train_raw, test_raw = split(ds, cfg.test_fraction, seed)
+    _check_scorable(f"split of {ds.n} events", test_raw, train_raw.n)
     mm_train = cfg.mixture(train_raw.n)
     train_ds, train_table = attach_sweights(train_raw, mm_train)
     test_ds, test_table = attach_sweights(test_raw, cfg.mixture(test_raw.n))
@@ -396,9 +408,11 @@ def _sweep_inputs(cfg: ExperimentConfig, seed: int):
     if cfg.synthetic is not None:
         test_seed = int(np.random.SeedSequence([seed, 0x7E57]).generate_state(1)[0])
         test_raw = generate_synthetic(seed=test_seed, **{**cfg.synthetic, "n": cfg.sweep_test_n})
+        _check_scorable(f"sweep test set of seed {seed}", test_raw)
     else:
         ds, _ = _load_dataset(cfg, seed)
         train_pool, test_raw = split(ds, cfg.test_fraction, seed)
+        _check_scorable(f"split of {ds.n} events", test_raw, train_pool.n)
     trains = {}
     for size in cfg.sizes:
         if cfg.synthetic is not None:
@@ -533,7 +547,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg.seeds = [args.seed]
+            cfg.seeds = [_walk(args.seed, CONFIG["seeds"]._replace(type=int), "--seed")]
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         out_dir = Path(args.out if args.out is not None else cfg.output_dir)

@@ -11,8 +11,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtr
 
-# Events whose mixture denominator falls below this are degenerate and get
-# flagged rather than propagated into downstream matrix sums.
+# An event whose mixture denominator under the starting yields falls below
+# this is flagged: the yield fit, Vinv and the weights all leave it out, and
+# its weight row is all zero.
 DENOMINATOR_FLOOR = 1e-300
 
 _QUANTILE_GRID_SIZE = 4096

@@ -102,16 +102,6 @@ class TrainReport:
                 )
 
 
-class TrainingDiverged(RuntimeError):
-    """Non-finite loss or gradient during training; carries the partial report."""
-
-    def __init__(self, step: int, kind: LossKind, report: TrainReport, reason: str):
-        super().__init__(f"training diverged at step {step} with loss {kind.value}: {reason}")
-        self.step = step
-        self.kind = kind
-        self.report = report
-
-
 class Mlp:
     """Leaky-ReLU MLP with a single linear logit output."""
 
@@ -327,11 +317,9 @@ def train(
     ``auc_labels`` when given, else against the test split's own labels —
     pass the true labels here when the training labels are only proxies.
 
-    Raises
-    ------
-    TrainingDiverged
-        On a non-finite loss or gradient; the exception carries the partial
-        report, so callers can keep the trace as a divergence record.
+    On a non-finite loss or gradient the run stops, and the returned report
+    is marked ``aborted`` with the step and the reason, keeping the trace
+    collected so far as a divergence record.
     """
     if eval_every < 1:
         raise ValueError(f"eval_every must be >= 1, got {eval_every}")
@@ -414,13 +402,13 @@ def train(
         z, cache = model._forward_cached(x_train[idx])
         le = _LOSS_FNS[kind](z, *(c[idx] for c in cols))
         if not np.isfinite(le.loss) or not np.all(np.isfinite(le.grad)):
-            raise TrainingDiverged(step, kind, make_report(True, step, "non-finite batch loss or gradient"), "non-finite batch loss or gradient")
+            return make_report(True, step, "non-finite batch loss or gradient")
         grad = model.backward(cache, le.grad, out=grad_buffer)
         grad /= len(idx)
         if l2 > 0:
             grad += 2.0 * l2 * model.theta
         if not np.all(np.isfinite(grad)):
-            raise TrainingDiverged(step, kind, make_report(True, step, "non-finite parameter gradient"), "non-finite parameter gradient")
+            return make_report(True, step, "non-finite parameter gradient")
         adam.step(model.theta, grad)
 
         if step % eval_every == 0 or step == opt.total_steps:
@@ -443,7 +431,7 @@ def train_arm(
     method: str, model: Mlp, train_ds, test_ds, opt: AdamConfig, *, eval_every: int, cwola_center: float,
     cwola_fraction: float,
 ) -> TrainReport:
-    """Train one method's arm; divergence is recorded on the returned report, not raised.
+    """Train one method's arm; as in ``train``, divergence is recorded on the returned report.
 
     For ``cwola`` both splits are relabelled by the mass window around
     ``cwola_center`` that holds ``cwola_fraction`` of the train events; the
@@ -454,10 +442,7 @@ def train_arm(
         labeling = cwola_label(train_ds, cwola_center, cwola_fraction)
         train_ds = train_ds.with_columns(y=labeling.labels)
         test_ds = test_ds.with_columns(y=labeling.apply(test_ds.m))
-    try:
-        return train(
-            model, train_ds, METHOD_KINDS[method], opt,
-            eval_every=eval_every, test=test_ds, auc_labels=auc_labels, method_name=method,
-        )
-    except TrainingDiverged as exc:
-        return exc.report
+    return train(
+        model, train_ds, METHOD_KINDS[method], opt,
+        eval_every=eval_every, test=test_ds, auc_labels=auc_labels, method_name=method,
+    )

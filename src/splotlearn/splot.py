@@ -55,9 +55,11 @@ class YieldFitError(SplotError):
 class SWeightTable:
     """Per-event, per-species weights plus the species covariance matrix.
 
-    ``weights`` has one row per input event; flagged events (degenerate
-    mixture denominator) carry all-zero rows and their indices are listed in
-    ``flagged_events``.
+    ``weights`` has one row per input event.  An event is flagged when its
+    mixture denominator under the starting yields is below
+    ``DENOMINATOR_FLOOR``; the yield fit, Vinv and the weights all use the
+    other events, so flagged events carry all-zero rows, and their indices
+    are listed in ``flagged_events``.
     """
 
     weights: np.ndarray
@@ -68,15 +70,15 @@ class SWeightTable:
     flagged_events: np.ndarray
     condition_number: float
     # p_k(m_e) for every input event, flagged ones included
-    densities: np.ndarray | None = None
-    # how the yield fit ended (None when the yields were given)
-    fit_iterations: int | None = None
-    fit_loglik: float | None = None
-    kkt_residual: float | None = None
+    densities: np.ndarray
+    # how the yield fit ended
+    fit_iterations: int
+    fit_loglik: float
+    kkt_residual: float
     # max_e |sum_k w_ek - 1| over unflagged events, and
     # max_k |sum_e w_ek - N_k| relative to the total yield
-    event_sum_residual: float | None = None
-    species_sum_residual: float | None = None
+    event_sum_residual: float
+    species_sum_residual: float
 
     def diagnostics(self) -> dict:
         """The fit's and the identities' deterministic figures, for the run summaries."""
@@ -109,34 +111,16 @@ class SWeightTable:
                 f.write("".join(map(row.format, range(start, stop), *columns)))
 
 
-def compute_vinv(masses, mm: MixtureModel, *, densities=None):
-    """Accumulate the inverse covariance matrix over non-degenerate events.
+def compute_vinv(p: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """``Vinv[n, j] = sum_e p[e, n] p[e, j] / denom[e]^2`` over the rows given.
 
-    ``densities`` is ``mm.component_densities(masses)`` when the caller
-    already holds it.
-
-    Returns
-    -------
-    vinv : ndarray, shape (n_species, n_species)
-        Symmetric positive semi-definite by construction.
-    flagged : ndarray
-        Indices of events excluded because their mixture denominator
-        underflowed.
+    ``p`` holds ``p_k(m_e)`` as an (n, k) matrix and ``denom`` the mixture
+    denominators of the same rows.  Symmetric positive semi-definite by
+    construction.
     """
-    if mm.n_species < 2:
-        raise SplotError("covariance matrix needs at least 2 species")
-    p = mm.component_densities(masses) if densities is None else densities
-    denom = mm.denominator(p)
-    good = denom >= DENOMINATOR_FLOOR
-    flagged = np.flatnonzero(~good)
-    if flagged.size == len(denom):
-        raise SplotError("all events have a degenerate mixture denominator")
-    if flagged.size:
-        p, denom = p[good], denom[good]
     a = p.T / denom
     # einsum keeps the per-event reduction single-threaded and deterministic
-    vinv = np.einsum("ke,je->kj", a, a)
-    return vinv, flagged
+    return np.einsum("ke,je->kj", a, a)
 
 
 def _invert_vinv(vinv: np.ndarray):
@@ -262,7 +246,9 @@ def fit_yields(
         If ``max_iter`` steps do not reach ``tol``; the exception carries
         the last iterate.
     SplotError
-        If the likelihood has a flat direction (species indistinguishable).
+        If an event has zero density under every species (its likelihood
+        is 0 for any yields), or if the likelihood has a flat direction
+        (species indistinguishable).
     """
     init = np.asarray(init_yields, dtype=float)
     if np.any(init <= 0) or not np.all(np.isfinite(init)):
@@ -280,11 +266,9 @@ def fit_yields(
         if p.ndim != 2 or p.shape[1] != len(shapes):
             raise ValueError(f"densities must have shape (n, {len(shapes)}), got {p.shape}")
         pt = np.ascontiguousarray(p.T)
-    good = pt.sum(axis=0) > 0.0
-    if not np.any(good):
-        raise SplotError("all events have zero density under every species")
-    if not np.all(good):
-        pt = pt[:, good]
+    orphans = np.flatnonzero(~(pt.sum(axis=0) > 0.0))
+    if orphans.size:
+        raise SplotError(f"event {orphans[0]} has zero density under every species ({orphans.size} such events)")
 
     n_events = pt.shape[1]
     lam = n_events / total
@@ -338,62 +322,59 @@ def fit_yields(
     return out
 
 
-def compute_sweights(masses, mm: MixtureModel, yields=None) -> SWeightTable:
-    """Per-event sWeights for every species.
+def compute_sweights(masses, mm: MixtureModel) -> SWeightTable:
+    """Per-event sWeights for every species, with the yields fitted on the same events.
 
-    By default the species yields are re-fitted by maximum likelihood on the
-    given events (so the exact per-event and per-species sum identities hold);
-    pass ``yields`` to override, in which case the identities are only
-    approximate.  The densities are evaluated once, and the table keeps them.
+    ``mm.yields`` start the maximum-likelihood fit.  Events whose mixture
+    denominator under those starting yields is below ``DENOMINATOR_FLOOR``
+    are flagged; the fit, Vinv and the weights see the same other events and
+    share one denominator under the fitted yields, so the per-event and
+    per-species sum identities are exact.  The densities are evaluated once,
+    and the table keeps them.
     """
+    if mm.n_species < 2:
+        raise SplotError("covariance matrix needs at least 2 species")
     masses = np.atleast_1d(np.asarray(masses, dtype=float))
     p = mm.component_densities(masses)
     good = mm.denominator(p) >= DENOMINATOR_FLOOR
-    n_good = int(good.sum())
+    flagged = np.flatnonzero(~good)
+    n_good = len(masses) - flagged.size
     if n_good == 0:
         raise SplotError("all events have a degenerate mixture denominator")
+    rows = good if flagged.size else slice(None)
+    p_rows = p[rows]
 
-    fit = {}
-    if yields is None:
-        init = mm.yields * (n_good / mm.yields.sum())
-        fit_masses, fit_p = (masses, p) if n_good == len(masses) else (masses[good], p[good])
-        yields = fit_yields(fit_masses, mm.components, init, float(n_good), densities=fit_p)
-        fit = {"fit_iterations": yields.iterations, "fit_loglik": yields.loglik, "kkt_residual": yields.kkt_residual}
-    else:
-        yields = np.asarray(yields, dtype=float)
-        if yields.shape != (mm.n_species,):
-            raise ValueError(f"expected {mm.n_species} yields, got shape {yields.shape}")
-
-    fitted = mm.with_yields(yields)
+    init = mm.yields * (n_good / mm.yields.sum())
+    fit = fit_yields(masses[rows], mm.components, init, float(n_good), densities=p_rows)
+    fitted = mm.with_yields(fit)
     yields = fitted.yields
+    denom = fitted.denominator(p_rows)
 
-    vinv, flagged = compute_vinv(masses, fitted, densities=p)
+    vinv = compute_vinv(p_rows, denom)
     live = np.ix_(yields > 0, yields > 0)
     v = np.zeros_like(vinv)
     v[live], cond = _invert_vinv(vinv[live])
 
-    denom = fitted.denominator(p)
-    rows = slice(None) if flagged.size == 0 else denom >= DENOMINATOR_FLOOR
-    p_rows, denom = p[rows], denom[rows]
-    weights = np.zeros((len(masses), fitted.n_species))
+    weights = np.zeros((len(masses), mm.n_species))
     row_sums = 0.0
-    col_sums = np.empty(fitted.n_species)
-    for i in range(fitted.n_species):
+    col_sums = np.empty(mm.n_species)
+    for i in range(mm.n_species):
         # ordered accumulation over species keeps each weight bit-identical
         # to the straightforward per-event loop
         w = p_rows[:, 0] * v[i, 0]
-        for j in range(1, fitted.n_species):
+        for j in range(1, mm.n_species):
             w += p_rows[:, j] * v[i, j]
         w /= denom
         weights[rows, i] = w
         row_sums = row_sums + w
         col_sums[i] = w.sum()
     return SWeightTable(
-        weights, v, vinv, yields, list(mm.names), flagged, cond,
-        densities=p,
+        weights, v, vinv, yields, list(mm.names), flagged, cond, p,
+        fit_iterations=fit.iterations,
+        fit_loglik=fit.loglik,
+        kkt_residual=fit.kkt_residual,
         event_sum_residual=float(np.max(np.abs(row_sums - 1.0))),
         species_sum_residual=float(np.max(np.abs(col_sums - yields)) / yields.sum()),
-        **fit,
     )
 
 

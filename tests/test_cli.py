@@ -1,11 +1,13 @@
 """Config validation, artifact emission, manifest integrity, exit codes, determinism."""
 
 import contextlib
+import copy
 import dataclasses
 import gzip
 import hashlib
 import io
 import json
+import math
 import re
 import time
 from pathlib import Path
@@ -172,6 +174,58 @@ def test_readme_configs_parse():
         parse_config(raw)
 
 
+def _tree_paths(node, path=()):
+    """The path of every value below ``node``, as a tuple of dict keys and list indices."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for k, v in items:
+        yield path + (k,)
+        yield from _tree_paths(v, path + (k,))
+
+
+def _at(root, path):
+    for k in path:
+        root = root[k]
+    return root
+
+
+@st.composite
+def mutated_readme_configs(draw):
+    """A README config with one to three keys dropped or added, values retyped, numbers set to extremes, or lists emptied."""
+    raw = copy.deepcopy(draw(st.sampled_from(readme_configs())))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_tree_paths(raw))
+        targets = {
+            "drop": [p for p in paths if isinstance(_at(raw, p[:-1]), dict)],
+            "add": [()] + [p for p in paths if isinstance(_at(raw, p), dict)],
+            "retype": paths,
+            "number": [p for p in paths if type(_at(raw, p)) in (int, float)],
+            "empty": [p for p in paths if isinstance(_at(raw, p), list)],
+        }
+        kind = draw(st.sampled_from([k for k, v in targets.items() if v]))
+        path = draw(st.sampled_from(targets[kind]))
+        if kind == "drop":
+            del _at(raw, path[:-1])[path[-1]]
+        elif kind == "add":
+            _at(raw, path)["unknown_key"] = 1
+        else:
+            values = {
+                "retype": ["text", [1.0], {"a": 1}, None, True, 3, 0.5],
+                "number": [math.nan, math.inf, -math.inf, 1e400, 10**400, 0, -1, -0.5],
+                "empty": [[]],
+            }[kind]
+            _at(raw, path[:-1])[path[-1]] = draw(st.sampled_from(values))
+    return raw
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(mutated_readme_configs())
+def test_mutated_readme_configs_parse_or_name_their_field(raw):
+    try:
+        parse_config(raw)
+    except ConfigError as exc:
+        assert str(exc).startswith("config."), str(exc)
+
+
 def test_readme_example_shows_the_defaults():
     example = readme_configs()[0]
     full = parse_config(example)
@@ -308,6 +362,45 @@ def test_run_seed_override(tmp_path):
     assert main(["run", "--config", str(path), "--seed", "7"]) == 0
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["seeds"] == [7]
+
+
+@pytest.mark.parametrize("command", ["run", "sweights"])
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    path = write_config(tmp_path, base_config(tmp_path / "out", n=600, steps=10))
+    assert main([command, "--config", str(path), "--seed", "-1"]) == 2
+    assert "config error: --seed: must lie in [0, inf), got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+UNSCORABLE = [
+    ("run", 2, None, "split of 2 events: train 2, test 0; neither part may be empty"),
+    ("run", 8, None, "split of 8 events: train 6, test 2 (signal 2, background 0); the test AUC needs both classes"),
+    ("demo-divergence", 8, None, "split of 8 events: train 6, test 2 (signal 2, background 0); the test AUC needs both classes"),
+    ("sweep", 100, 2, "sweep test set of seed 1: test 2 (signal 0, background 2); the test AUC needs both classes"),
+]
+
+
+@pytest.mark.parametrize("command, n, test_n, message", UNSCORABLE, ids=[f"{c}-n{n}" for c, n, _, _ in UNSCORABLE])
+def test_a_split_that_cannot_be_scored_exits_3(tmp_path, capsys, monkeypatch, command, n, test_n, message):
+    cfg = base_config(tmp_path / "out", n=n, steps=10)
+    cfg["seeds"] = [0] if test_n is None else [1]
+    if test_n is not None:
+        cfg["sizes"], cfg["sweep"] = [50], {"test_n": test_n}
+    weighted = counting(monkeypatch, "attach_sweights")
+    assert main([command, "--config", str(write_config(tmp_path, cfg))]) == 3
+    assert f"data error: {message}\n" == capsys.readouterr().err
+    assert weighted == []
+
+
+def test_a_csv_split_that_cannot_be_scored_exits_3(tmp_path, capsys):
+    # three events: the test part holds one, of one class; the sweep splits the file as run does
+    csv_path = tmp_path / "events.csv"
+    csv_path.write_bytes(events_csv(generate_synthetic(3, 0.5, 7, n_features=2)))
+    cfg = csv_config(tmp_path, csv_path, steps=5)
+    cfg["sizes"] = [2]
+    for command in ("run", "sweep"):
+        assert main([command, "--config", str(write_config(tmp_path, cfg))]) == 3
+        assert re.fullmatch(r"data error: split of 3 events: train 2, test 1 \(signal [01], background [01]\); .*\n", capsys.readouterr().err)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 import splotlearn as sl
 from splotlearn import model as model_module
 from splotlearn.losses import LossInputError, LossKind, constrained_mse, exact_likelihood, plain_ce, weighted_ce
-from splotlearn.model import FORWARD_BLOCK_ROWS, Adam, AdamConfig, Mlp, MlpConfig, TrainingDiverged, train
+from splotlearn.model import FORWARD_BLOCK_ROWS, Adam, AdamConfig, Mlp, MlpConfig, train
 
 
 def tiny_model(seed=0, input_dim=2, hidden=(3,)):
@@ -287,8 +287,8 @@ def test_loss_columns_reject_labels_other_than_0_and_1():
 
 
 def test_divergence_abort_carries_partial_report():
-    # poisoned parameters overflow the forward pass; the trainer must abort
-    # with the loss kind, the step, and the trace collected so far
+    # poisoned parameters overflow the forward pass; the trainer must return
+    # the trace collected so far, marked aborted with the step and the reason
     rng = np.random.default_rng(11)
     n = 256
     x = rng.standard_normal((n, 2))
@@ -297,13 +297,13 @@ def test_divergence_abort_carries_partial_report():
     model = tiny_model(seed=3, input_dim=2, hidden=(8,))
     model.theta[...] = 1e200
     opt = AdamConfig(total_steps=100)
-    with pytest.raises(TrainingDiverged) as excinfo, np.errstate(over="ignore", invalid="ignore"):
-        train(model, ds, LossKind.WEIGHTED_CE, opt, eval_every=10)
-    err = excinfo.value
-    assert err.report.aborted
-    assert err.report.abort_step == err.step == 1
-    assert err.kind is LossKind.WEIGHTED_CE
-    assert len(err.report.steps) >= 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = train(model, ds, LossKind.WEIGHTED_CE, opt, eval_every=10)
+    assert report.aborted
+    assert report.abort_step == 1
+    assert report.abort_reason == "non-finite batch loss or gradient"
+    assert report.method == LossKind.WEIGHTED_CE.value
+    assert len(report.steps) >= 1
 
 
 def test_l2_regularizer_shrinks_parameters():

@@ -72,38 +72,36 @@ def test_vinv_diagonal_for_disjoint_supports():
     n_s, n_b = 600, 400
     masses = disjoint_masses(n_s, n_b)
     mm = disjoint_mixture(n_s, n_b)
-    vinv, flagged = compute_vinv(masses, mm)
-    assert flagged.size == 0
+    p = mm.component_densities(masses)
+    vinv = compute_vinv(p, mm.denominator(p))
     assert vinv[0, 1] == 0.0 and vinv[1, 0] == 0.0
     assert vinv[0, 0] == pytest.approx(n_s / n_s**2, rel=1e-12)
     assert vinv[1, 1] == pytest.approx(n_b / n_b**2, rel=1e-12)
 
 
-def test_vinv_requires_two_species():
-    mm = MixtureModel([Uniform(0, 8)], [100.0])
-    with pytest.raises(SplotError):
-        compute_vinv(np.array([1.0, 2.0]), mm)
-
-
 def test_vinv_excludes_and_reports_flagged_events():
     mm = canonical_mixture(500, 500)
     masses = np.array([1.0, 2.0, 9.5, 3.0, -2.0])
-    vinv, flagged = compute_vinv(masses, mm)
-    np.testing.assert_array_equal(flagged, [2, 4])
-    clean_vinv, _ = compute_vinv(masses[[0, 1, 3]], mm)
-    np.testing.assert_allclose(vinv, clean_vinv, rtol=1e-15)
+    table = compute_sweights(masses, mm)
+    np.testing.assert_array_equal(table.flagged_events, [2, 4])
+    np.testing.assert_array_equal(table.weights[[2, 4]], 0.0)
+    clean = compute_sweights(masses[[0, 1, 3]], mm)
+    assert table.yields.tobytes() == clean.yields.tobytes()
+    np.testing.assert_allclose(table.vinv, clean.vinv, rtol=1e-15)
+    np.testing.assert_allclose(table.weights[[0, 1, 3]], clean.weights, rtol=1e-15)
 
 
 def test_vinv_all_degenerate_is_error():
     mm = canonical_mixture(500, 500)
     with pytest.raises(SplotError, match="degenerate"):
-        compute_vinv(np.array([9.0, 10.0]), mm)
+        compute_sweights(np.array([9.0, 10.0]), mm)
 
 
 def test_vinv_symmetric_positive_semidefinite():
     mm = canonical_mixture(700, 300)
     masses = sample_mixture(mm, 5000, seed=3)
-    vinv, _ = compute_vinv(masses, mm)
+    p = mm.component_densities(masses)
+    vinv = compute_vinv(p, mm.denominator(p))
     np.testing.assert_allclose(vinv, vinv.T, rtol=1e-9)
     assert np.all(np.linalg.eigvalsh(vinv) >= 0.0)
 
@@ -112,10 +110,10 @@ def test_vinv_symmetric_positive_semidefinite():
 # compute_sweights
 
 
-def test_single_event_identical_densities_fails_inversion():
+def test_single_event_identical_densities_is_indistinguishable():
     mm = MixtureModel([Uniform(0, 8), Uniform(0, 8)], [1.0, 1.0])
-    with pytest.raises(SplotError, match="indistinguishable|ill-conditioned"):
-        compute_sweights(np.array([3.0]), mm, yields=np.array([0.5, 0.5]))
+    with pytest.raises(SplotError, match="indistinguishable"):
+        compute_sweights(np.array([3.0]), mm)
 
 
 def test_single_species_degenerate_check():
@@ -228,10 +226,6 @@ def test_sweights_record_the_fit_and_the_identity_residuals():
     assert d["kkt_residual"] <= 1e-12
     assert d["event_sum_residual"] == np.max(np.abs(table.weights[:5000].sum(axis=1) - 1.0)) <= 1e-9
     assert d["species_sum_residual"] <= 1e-12
-    # given yields: no fit ran
-    table = compute_sweights(masses, mm, yields=table.yields)
-    assert table.fit_iterations is None and table.kkt_residual is None
-    assert table.event_sum_residual <= 1e-9
 
 
 def test_flagged_events_get_zero_weights():
@@ -256,6 +250,12 @@ def test_sweights_csv_export_roundtrip(tmp_path):
     np.testing.assert_array_equal(parsed, table.weights)
 
 
+def weights_only_table(weights, names, flagged):
+    """A table for the CSV writer, which reads only the weights and the species names."""
+    k = weights.shape[1]
+    return SWeightTable(weights, np.eye(k), np.eye(k), np.ones(k), names, flagged, 1.0, np.zeros_like(weights), 0, 0.0, 0.0, 0.0, 0.0)
+
+
 def reference_csv(table):
     """The export written one row at a time with format(x, ".17g")."""
     lines = ["event_index," + ",".join(f"sweight_{s}" for s in table.species)]
@@ -274,14 +274,14 @@ def test_sweights_csv_export_matches_per_row_format(tmp_path, k):
     flagged = np.array([7, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, n - 1])
     weights[flagged] = 0.0
     names = [f"s{j}" for j in range(k)]
-    table = SWeightTable(weights, np.eye(k), np.eye(k), np.ones(k), names, flagged, 1.0)
+    table = weights_only_table(weights, names, flagged)
     path = tmp_path / "sweights.csv"
     table.to_csv(path)
     assert path.read_bytes() == reference_csv(table).encode()
 
 
 def test_sweights_csv_export_of_no_events(tmp_path):
-    table = SWeightTable(np.zeros((0, 2)), np.eye(2), np.eye(2), np.ones(2), ["signal", "background"], np.array([], dtype=int), 1.0)
+    table = weights_only_table(np.zeros((0, 2)), ["signal", "background"], np.array([], dtype=int))
     table.to_csv(tmp_path / "sweights.csv")
     assert (tmp_path / "sweights.csv").read_text() == "event_index,sweight_signal,sweight_background\n"
 
@@ -378,6 +378,13 @@ def test_fit_yields_nonconvergence_carries_last_iterate():
     assert last.sum() == pytest.approx(2000.0)
 
 
+def test_fit_yields_rejects_an_event_with_zero_density_everywhere():
+    # compute_sweights flags such events before the fit; the likelihood is 0 at any yields
+    mm = canonical_mixture(1, 1)
+    with pytest.raises(SplotError, match="event 1 has zero density under every species"):
+        fit_yields(np.array([1.0, 9.0, 2.0]), mm.components, [1.5, 1.5], 3.0)
+
+
 def test_fit_yields_validates_init():
     mm = canonical_mixture(1, 1)
     with pytest.raises(ValueError):
@@ -457,10 +464,15 @@ def mixtures(draw):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(mixtures(), st.integers(500, 3_000), st.integers(0, 2**32 - 1))
-def test_sweight_identities_hold_for_random_mixtures(mixture, n_events, seed):
+@given(mixtures(), st.integers(500, 3_000), st.integers(0, 2**32 - 1), st.integers(0, 3))
+def test_sweight_identities_hold_for_random_mixtures(mixture, n_events, seed, n_planted):
     shapes, fractions = mixture
     masses = sample_mixture(MixtureModel(shapes, fractions * n_events), n_events, seed)
+    # plant masses outside the shared support: zero density under every species
+    rng = np.random.default_rng(seed)
+    planted = np.sort(rng.choice(n_events, n_planted, replace=False))
+    lo, hi = shapes[0].support
+    masses[planted] = np.where(rng.random(n_planted) < 0.5, lo - 1.0, hi + 1.0)
     try:
         # start the fit away from the generating yields
         table = compute_sweights(masses, MixtureModel(shapes, np.full(len(shapes), n_events / len(shapes))))
@@ -469,10 +481,13 @@ def test_sweight_identities_hold_for_random_mixtures(mixture, n_events, seed):
         assume(not re.search("indistinguishable|ill-conditioned", str(exc)))
         raise
     w = table.weights
-    assert table.flagged_events.size == 0
+    np.testing.assert_array_equal(table.flagged_events, planted)
+    np.testing.assert_array_equal(w[planted], 0.0)
+    assert table.yields.sum() == pytest.approx(n_events - n_planted, rel=1e-14)
     # these two hold for any yields that weights and Vinv share
-    np.testing.assert_allclose(w.sum(axis=0), table.yields, rtol=0, atol=1e-9 * n_events)
+    np.testing.assert_allclose(w.sum(axis=0), table.yields, rtol=0, atol=1e-9 * table.yields.sum())
     np.testing.assert_allclose(w.T @ w, table.v, rtol=1e-9)
     # the per-event sum needs the maximum of the likelihood
-    np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+    kept = np.setdiff1d(np.arange(n_events), planted)
+    np.testing.assert_allclose(w[kept].sum(axis=1), 1.0, rtol=0, atol=1e-9)
     assert table.kkt_residual <= 1e-12
