@@ -550,8 +550,12 @@ def main(argv=None) -> int:
             cfg.seeds = [_walk(args.seed, CONFIG["seeds"]._replace(type=int), "--seed")]
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+        out_option = "--out" if args.out is not None else "config.output_dir"
         out_dir = Path(args.out if args.out is not None else cfg.output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"{out_option}: cannot create directory {out_dir}: {exc.strerror}") from exc
         return _COMMANDS[args.command](cfg, out_dir, args.threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

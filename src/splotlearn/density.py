@@ -240,9 +240,6 @@ class MixtureModel:
     def n_species(self) -> int:
         return len(self.components)
 
-    def with_yields(self, yields) -> "MixtureModel":
-        return MixtureModel(self.components, yields, names=self.names)
-
     def component_densities(self, masses) -> np.ndarray:
         """Matrix ``P[e, k] = p_k(m_e)`` of per-species density values.
 

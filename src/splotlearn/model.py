@@ -314,8 +314,8 @@ def train(
     model seed, so runs sharing a seed also share the batch sequence).  The
     recorded train/test losses are per-event means plus the L2 term when
     ``model.cfg.l2_coefficient > 0``.  Test AUC is scored against
-    ``auc_labels`` when given, else against the test split's own labels —
-    pass the true labels here when the training labels are only proxies.
+    ``auc_labels``, the true labels of the test split, and is NaN without
+    them; the test split's own labels may be proxies.
 
     On a non-finite loss or gradient the run stops, and the returned report
     is marked ``aborted`` with the step and the reason, keeping the trace
@@ -333,14 +333,12 @@ def train(
 
     test_cols = None
     x_test = None
-    test_labels = None
     if test is not None:
         x_test = (test.X - mean) / std
         try:
             test_cols = _loss_columns(kind, test)
         except LossInputError:
             test_cols = None
-        test_labels = auc_labels if auc_labels is not None else test.y
 
     n = x_train.shape[0]
     l2 = model.cfg.l2_coefficient
@@ -367,8 +365,8 @@ def train(
                 te = _LOSS_FNS[kind](zt, *test_cols).loss / x_test.shape[0]
                 if l2 > 0:
                     te += l2 * float(model.theta @ model.theta)
-            if test_labels is not None:
-                auc = roc_auc(zt, test_labels).auc
+            if auc_labels is not None:
+                auc = roc_auc(zt, auc_labels).auc
         steps_rec.append(step)
         train_rec.append(tr)
         test_rec.append(te)

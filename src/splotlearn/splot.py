@@ -9,12 +9,15 @@ and the per-event weights
 
     w[e, n] = sum_j V[n, j] p_j(m_e) / (sum_k N_k p_k(m_e)).
 
-With yields fitted by maximum likelihood on the same events, the weights
-satisfy exact identities: they sum to 1 across species for every event, and
-to the fitted yield across events for every species.  A species fitted to
-exactly 0 sits on the boundary of the likelihood's domain, where its
-gradient may fall short of the others'; it is left out of Vinv and gets an
-all-zero weight column, which keeps both identities exact.
+With yields fitted by maximum likelihood on the same events, Vinv is the
+curvature of ``-log L`` with respect to the yields at its maximum, so the
+fit's last step supplies Vinv, its condition number and the denominators.
+The weights then satisfy exact identities: they sum to 1 across species for
+every event, and to the fitted yield across events for every species.  A
+species fitted to exactly 0 sits on the boundary of the likelihood's domain,
+where its gradient may fall short of the others'; it is left out of the
+inverted Vinv and gets an all-zero weight column, which keeps both
+identities exact.
 """
 
 from __future__ import annotations
@@ -111,35 +114,23 @@ class SWeightTable:
                 f.write("".join(map(row.format, range(start, stop), *columns)))
 
 
-def compute_vinv(p: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """``Vinv[n, j] = sum_e p[e, n] p[e, j] / denom[e]^2`` over the rows given.
+def compute_vinv(a: np.ndarray) -> np.ndarray:
+    """``Vinv[k, j] = sum_e a[k, e] a[j, e]`` for the ratio matrix ``a[k, e] = p_k(m_e) / D_e``.
 
-    ``p`` holds ``p_k(m_e)`` as an (n, k) matrix and ``denom`` the mixture
-    denominators of the same rows.  Symmetric positive semi-definite by
-    construction.
+    ``a`` has one row per species and one column per event.  Symmetric
+    positive semi-definite by construction.
     """
-    a = p.T / denom
     # einsum keeps the per-event reduction single-threaded and deterministic
     return np.einsum("ke,je->kj", a, a)
 
 
-def _invert_vinv(vinv: np.ndarray):
-    """Invert with a condition-number guard; 2x2 uses the closed form."""
-    k = vinv.shape[0]
-    cond = float(np.linalg.cond(vinv))
-    if not np.isfinite(cond):
-        raise SplotError("species indistinguishable: singular covariance matrix")
-    if cond > CONDITION_LIMIT:
-        raise SplotError(f"ill-conditioned V: condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}")
-    if k == 2:
+def _invert_vinv(vinv: np.ndarray) -> np.ndarray:
+    """V from Vinv; 2x2 uses the closed form."""
+    if vinv.shape[0] == 2:
         det = vinv[0, 0] * vinv[1, 1] - vinv[0, 1] * vinv[1, 0]
-        if det == 0.0:
-            raise SplotError("species indistinguishable: singular covariance matrix")
-        v = np.array([[vinv[1, 1], -vinv[0, 1]], [-vinv[1, 0], vinv[0, 0]]]) / det
-    else:
-        # LU with partial pivoting
-        v = np.linalg.solve(vinv, np.eye(k))
-    return v, cond
+        return np.array([[vinv[1, 1], -vinv[0, 1]], [-vinv[1, 0], vinv[0, 0]]]) / det
+    # LU with partial pivoting
+    return np.linalg.solve(vinv, np.eye(vinv.shape[0]))
 
 
 class FittedYields(np.ndarray):
@@ -147,12 +138,18 @@ class FittedYields(np.ndarray):
 
     ``iterations`` counts the steps taken, ``loglik`` is the final
     ``sum_e log sum_k N_k p_k(m_e)`` and ``kkt_residual`` the final
-    optimality residual relative to ``n / total``.
+    optimality residual relative to ``n / total``.  ``denominator`` holds
+    the final ``D_e`` of every event, ``vinv`` the final curvature ``Q``
+    and ``condition_number`` the condition number of ``Q`` over the species
+    above 0.
     """
 
     iterations = 0
     loglik = float("nan")
     kkt_residual = float("nan")
+    denominator = None
+    vinv = None
+    condition_number = float("nan")
 
 
 def _kkt_residual(g: np.ndarray, n: np.ndarray, lam: float) -> float:
@@ -237,8 +234,9 @@ def fit_yields(
     Returns
     -------
     FittedYields
-        The yields, with the step count, final log-likelihood and KKT
-        residual as attributes.
+        The yields, with the step count, final log-likelihood, KKT
+        residual, denominators, curvature and its condition number as
+        attributes.
 
     Raises
     ------
@@ -284,7 +282,7 @@ def fit_yields(
     for it in range(max_iter + 1):
         np.divide(pt, denom, out=a)
         g = a.sum(axis=1)
-        q = np.einsum("ke,je->kj", a, a)
+        q = compute_vinv(a)
         residual = _kkt_residual(g, n, lam)
         if residual <= tol:
             break
@@ -309,16 +307,16 @@ def fit_yields(
             callback(n.copy(), loglik)
 
     # Flat likelihood direction: the curvature of the species still in the fit is singular.
-    live = np.flatnonzero(n > 0)
-    if len(live) >= 2:
-        cond = float(np.linalg.cond(q[np.ix_(live, live)]))
-        if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-            raise SplotError(
-                "species indistinguishable: yield likelihood has a flat direction "
-                f"(curvature condition number {cond:.3e})"
-            )
+    live = n > 0
+    cond = float(np.linalg.cond(q[np.ix_(live, live)]))
+    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+        raise SplotError(
+            "species indistinguishable: yield likelihood has a flat direction "
+            f"(curvature condition number {cond:.3e})"
+        )
     out = n.view(FittedYields)
     out.iterations, out.loglik, out.kkt_residual = it, loglik, residual
+    out.denominator, out.vinv, out.condition_number = denom, q, cond
     return out
 
 
@@ -327,10 +325,10 @@ def compute_sweights(masses, mm: MixtureModel) -> SWeightTable:
 
     ``mm.yields`` start the maximum-likelihood fit.  Events whose mixture
     denominator under those starting yields is below ``DENOMINATOR_FLOOR``
-    are flagged; the fit, Vinv and the weights see the same other events and
-    share one denominator under the fitted yields, so the per-event and
-    per-species sum identities are exact.  The densities are evaluated once,
-    and the table keeps them.
+    are flagged; the fit sees the other events, and its last step gives
+    Vinv, its condition number and the denominators the weights divide by,
+    so the per-event and per-species sum identities are exact.  The
+    densities are evaluated once, and the table keeps them.
     """
     if mm.n_species < 2:
         raise SplotError("covariance matrix needs at least 2 species")
@@ -346,14 +344,10 @@ def compute_sweights(masses, mm: MixtureModel) -> SWeightTable:
 
     init = mm.yields * (n_good / mm.yields.sum())
     fit = fit_yields(masses[rows], mm.components, init, float(n_good), densities=p_rows)
-    fitted = mm.with_yields(fit)
-    yields = fitted.yields
-    denom = fitted.denominator(p_rows)
-
-    vinv = compute_vinv(p_rows, denom)
+    yields, denom, vinv = np.array(fit), fit.denominator, fit.vinv
     live = np.ix_(yields > 0, yields > 0)
     v = np.zeros_like(vinv)
-    v[live], cond = _invert_vinv(vinv[live])
+    v[live] = _invert_vinv(vinv[live])
 
     weights = np.zeros((len(masses), mm.n_species))
     row_sums = 0.0
@@ -369,7 +363,7 @@ def compute_sweights(masses, mm: MixtureModel) -> SWeightTable:
         row_sums = row_sums + w
         col_sums[i] = w.sum()
     return SWeightTable(
-        weights, v, vinv, yields, list(mm.names), flagged, cond, p,
+        weights, v, vinv, yields, list(mm.names), flagged, fit.condition_number, p,
         fit_iterations=fit.iterations,
         fit_loglik=fit.loglik,
         kkt_residual=fit.kkt_residual,

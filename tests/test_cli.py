@@ -3,13 +3,16 @@
 import contextlib
 import copy
 import dataclasses
+import functools
 import gzip
 import hashlib
 import io
 import json
 import math
+import multiprocessing
 import re
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +24,8 @@ import splotlearn.cli as cli
 from splotlearn.cli import CONFIG, SHAPES, ConfigError, Shape, _load_dataset, load_config, main, parse_config
 from splotlearn.data import generate_synthetic
 from splotlearn.density import Density1D
+from splotlearn.losses import LossInputError
+from splotlearn.splot import SplotError
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -260,6 +265,17 @@ def test_config_error_exit_code(tmp_path):
     cfg = base_config(tmp_path / "out")
     cfg["mixture"]["init_yields"] = [0.5, -0.5]
     assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+
+
+@pytest.mark.parametrize("via", ["--out", "config.output_dir"])
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+def test_an_output_directory_that_cannot_be_created_exits_2(tmp_path, capsys, via, under):
+    (tmp_path / "taken").write_text("")
+    target = tmp_path / "taken" / "out" if under else tmp_path / "taken"
+    cfg = base_config(target if via == "config.output_dir" else tmp_path / "out")
+    argv = ["sweights", "--config", str(write_config(tmp_path, cfg))]
+    assert main(argv + (["--out", str(target)] if via == "--out" else [])) == 2
+    assert f"config error: {via}: cannot create directory {target}" in capsys.readouterr().err
 
 
 def test_missing_csv_file_is_data_error(tmp_path):
@@ -534,6 +550,35 @@ def test_an_error_in_a_sweep_cell_exits_with_its_code(tmp_path, capsys, threads)
     cfg["sizes"] = [100, 200]
     assert main(["sweep", "--config", str(write_config(tmp_path, cfg)), "--threads", threads]) == 3
     assert "data error: requested inside fraction 0.5 unreachable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [SplotError, LossInputError])
+def test_an_error_raised_in_a_sweep_worker_exits_4(tmp_path, capsys, monkeypatch, error):
+    def failing_cell(*args):
+        raise error("planted in a sweep cell")
+
+    # forked workers inherit the patched cell
+    monkeypatch.setattr(cli, "_sweep_cell", failing_cell)
+    monkeypatch.setattr(
+        cli, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork"))
+    )
+    cfg = base_config(tmp_path / "out", n=600, steps=5)
+    cfg["sizes"] = [200, 400]
+    cfg["sweep"] = {"test_n": 400}
+    assert main(["sweep", "--config", str(write_config(tmp_path, cfg)), "--threads", "2"]) == 4
+    assert "numerical failure: planted in a sweep cell" in capsys.readouterr().err
+
+
+def test_cwola_test_auc_is_null_without_true_labels(tmp_path):
+    ds = generate_synthetic(1200, 0.5, 3, n_features=2)
+    csv_path = tmp_path / "events.csv"
+    csv_path.write_text("mass,a,b\n" + "".join(f"{m!r},{a!r},{b!r}\n" for m, (a, b) in zip(ds.m.tolist(), ds.X.tolist())))
+    cfg = csv_config(tmp_path, csv_path, steps=40, methods=["constrained_mse", "cwola"])
+    del cfg["data"]["csv"]["label_column"]
+    assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
+    arms = json.loads((tmp_path / "out" / "arms.json").read_text())
+    for method in ("constrained_mse", "cwola"):
+        assert arms[method]["final_test_auc"] is None and arms[method]["peak_test_auc"] is None, method
 
 
 def counting(monkeypatch, name):

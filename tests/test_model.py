@@ -211,7 +211,8 @@ def test_separable_data_reaches_high_auc():
     ds = make_separable(4000, 3)
     test = make_separable(4000, 4)
     model = Mlp(MlpConfig(input_dim=2, hidden=(16, 8), seed=0))
-    rep = train(model, ds, LossKind.PLAIN_CE, AdamConfig(learning_rate=3e-3, total_steps=2000), eval_every=500, test=test)
+    opt = AdamConfig(learning_rate=3e-3, total_steps=2000)
+    rep = train(model, ds, LossKind.PLAIN_CE, opt, eval_every=500, test=test, auc_labels=test.y)
     assert rep.test_auc[-1] > 0.99
 
 
@@ -222,7 +223,7 @@ def test_training_determinism():
     for _ in range(2):
         model = Mlp(MlpConfig(input_dim=2, hidden=(8, 4), seed=9))
         reports.append(
-            train(model, ds, LossKind.PLAIN_CE, AdamConfig(total_steps=300), eval_every=100, test=test)
+            train(model, ds, LossKind.PLAIN_CE, AdamConfig(total_steps=300), eval_every=100, test=test, auc_labels=test.y)
         )
     a, b = reports
     np.testing.assert_array_equal(a.steps, b.steps)
