@@ -20,8 +20,8 @@ from .density import (
     canonical_signal_density,
 )
 from .splot import SWeightTable, compute_sweights, compute_vinv, fit_yields
-from .losses import LossEval, LossKind, constrained_mse, exact_likelihood, plain_ce, weighted_ce
-from .model import METHOD_KINDS, AdamConfig, Mlp, MlpConfig, TrainReport, train, train_arm
+from .losses import LossEval, constrained_mse, exact_likelihood, plain_ce, weighted_ce
+from .model import METHODS, AdamConfig, Mlp, MlpConfig, TrainReport, train
 from .data import CsvSchema, CwolaLabeling, Dataset, attach_sweights, cwola_label, generate_synthetic, ingest_csv, split
 from .evaluation import RocResult, learning_curve, roc_auc, size_sweep
 
@@ -32,8 +32,7 @@ __all__ = [
     "Dataset",
     "Density1D",
     "LossEval",
-    "LossKind",
-    "METHOD_KINDS",
+    "METHODS",
     "MixtureDensity",
     "MixtureModel",
     "Mlp",
@@ -62,6 +61,5 @@ __all__ = [
     "size_sweep",
     "split",
     "train",
-    "train_arm",
     "weighted_ce",
 ]

@@ -36,15 +36,12 @@ from . import __version__, evaluation
 from .data import DataError, Dataset, CsvSchema, attach_sweights, generate_synthetic, ingest_csv, split
 from .density import Density1D, MixtureModel, TruncatedExponential, TruncatedGaussian, Uniform
 from .losses import LossInputError
-from .model import METHOD_KINDS, AdamConfig, Mlp, MlpConfig, TrainReport, train_arm
+from .model import METHODS, AdamConfig, Mlp, MlpConfig, TrainReport, train
 from .splot import SplotError, compute_sweights
 
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field path."""
-
-
-ALL_METHODS = list(METHOD_KINDS)
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +233,20 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     methods = c["methods"]
     for m in methods:
-        if m not in METHOD_KINDS:
-            raise ConfigError(f"config.methods: unknown method {m!r} (choose from {ALL_METHODS})")
+        if m not in METHODS:
+            raise ConfigError(f"config.methods: unknown method {m!r} (choose from {list(METHODS)})")
     if len(set(methods)) != len(methods):
         raise ConfigError("config.methods: duplicate entries")
-    if csv_spec is not None and csv_spec["label_column"] is None and "true_labels" in methods:
-        raise ConfigError("config.methods: 'true_labels' needs config.data.csv.label_column")
+    if csv_spec is not None:
+        taken = {csv_spec["mass_column"]: "mass_column", csv_spec["label_column"]: "label_column"}
+        for i, name in enumerate(csv_spec["feature_columns"] or []):
+            if name in taken:
+                raise ConfigError(f"config.data.csv.feature_columns[{i}]: column {name!r} is already {taken[name]}")
+            taken[name] = f"feature_columns[{i}]"
+        if csv_spec["label_column"] is None and "true_labels" in methods:
+            raise ConfigError("config.methods: 'true_labels' needs config.data.csv.label_column")
+        if csv_spec["label_column"] is None and c["sizes"]:
+            raise ConfigError("config.sizes: a size sweep scores test AUC against config.data.csv.label_column")
     if c["sizes"] != sorted(c["sizes"]):
         raise ConfigError("config.sizes: must be ascending")
 
@@ -300,7 +305,7 @@ def _train_method(cfg: ExperimentConfig, method: str, train_ds: Dataset, test_ds
     """One training arm from the config; returns the model, its report and the initial-parameter checksum."""
     model = Mlp(cfg.mlp_config(train_ds.X.shape[1], seed))
     init_sha = hashlib.sha256(model.theta.tobytes()).hexdigest()
-    report = train_arm(
+    report = train(
         method, model, train_ds, test_ds, cfg.adam,
         eval_every=cfg.eval_every, cwola_center=cfg.cwola_center, cwola_fraction=cfg.cwola_fraction,
     )
@@ -482,8 +487,10 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
 
 
 def cmd_demo_divergence(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
+    if cfg.csv is not None and cfg.csv["label_column"] is None:
+        raise ConfigError("config.data.csv.label_column: required, as demo-divergence trains 'true_labels'")
     seed = cfg.seeds[0]
-    reports, arm_info, artifacts = _run_training_stage(cfg, out_dir, seed, ALL_METHODS)
+    reports, arm_info, artifacts = _run_training_stage(cfg, out_dir, seed, METHODS)
     shared = {info["init_theta_sha256"] for info in arm_info.values()}
     demo = {
         "shared_initial_weights": len(shared) == 1,

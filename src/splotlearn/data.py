@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import gzip
 import io
+import math
 import zlib
 from dataclasses import dataclass, field, replace
 
@@ -363,7 +364,7 @@ def _parse_body_strict(path, body: str, n_fields: int):
                 values = [float(cell) for cell in row]
             except ValueError as exc:
                 raise DataError(f"{path}: line {line_no}: {exc}") from None
-            if not all(np.isfinite(v) for v in values):
+            if not all(map(math.isfinite, values)):
                 rejected.append((line_no, "non-finite value"))
                 continue
             rows.append(values)

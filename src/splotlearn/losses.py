@@ -20,7 +20,6 @@ other two objectives avoid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy.special import expit
@@ -32,27 +31,6 @@ LIKELIHOOD_FLOOR = 1e-30
 
 class LossInputError(ValueError):
     """Per-event auxiliary inputs violate a loss precondition."""
-
-
-class LossKind(Enum):
-    """The trainable objectives and the event columns each one consumes."""
-
-    CONSTRAINED_MSE = "constrained_mse"
-    EXACT_LIKELIHOOD = "exact_likelihood"
-    WEIGHTED_CE = "weighted_ce"
-    PLAIN_CE = "plain_ce"
-
-    @property
-    def required_columns(self) -> tuple[str, ...]:
-        return _REQUIRED_COLUMNS[self]
-
-
-_REQUIRED_COLUMNS = {
-    LossKind.CONSTRAINED_MSE: ("sweights",),
-    LossKind.EXACT_LIKELIHOOD: ("ps", "pb"),
-    LossKind.WEIGHTED_CE: ("sweights",),
-    LossKind.PLAIN_CE: ("y",),
-}
 
 
 @dataclass

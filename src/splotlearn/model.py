@@ -15,7 +15,7 @@ import numpy as np
 from .data import cwola_label
 from .evaluation import roc_auc
 from .losses import (
-    LossInputError, LossKind, _exact_likelihood, _plain_ce, check_densities, check_labels, constrained_mse, weighted_ce,
+    LossInputError, _exact_likelihood, _plain_ce, check_densities, check_labels, constrained_mse, weighted_ce,
 )
 
 MAGIC = b"SPML"
@@ -269,26 +269,31 @@ class Adam:
         theta -= np.divide(update, denom, out=update)
 
 
-# The trainer's losses.  ``_loss_columns`` checks each column once, so the two
-# losses with preconditions are called without re-checking every batch.
+# The loss of each method's training arm, in the methods' canonical order;
+# ``cwola`` trains plain cross-entropy on mass-window region labels.
+# ``_loss_columns`` checks each column once, so the losses with preconditions
+# are called without re-checking every batch.
 _LOSS_FNS = {
-    LossKind.CONSTRAINED_MSE: constrained_mse,
-    LossKind.EXACT_LIKELIHOOD: _exact_likelihood,
-    LossKind.WEIGHTED_CE: weighted_ce,
-    LossKind.PLAIN_CE: _plain_ce,
+    "true_labels": _plain_ce,
+    "constrained_mse": constrained_mse,
+    "exact_likelihood": _exact_likelihood,
+    "weighted_ce": weighted_ce,
+    "cwola": _plain_ce,
 }
+METHODS = tuple(_LOSS_FNS)
 
 
-def _loss_columns(kind: LossKind, ds) -> tuple[np.ndarray, ...]:
-    """Pull the auxiliary columns a loss consumes out of a dataset, checked against its preconditions."""
-    missing = [c for c in kind.required_columns if getattr(ds, c, None) is None]
+def _loss_columns(method: str, ds) -> tuple[np.ndarray, ...]:
+    """Pull the auxiliary columns ``method``'s loss consumes out of a dataset, checked against its preconditions."""
+    required = {"constrained_mse": ["sweights"], "weighted_ce": ["sweights"], "exact_likelihood": ["ps", "pb"]}
+    missing = [c for c in required.get(method, ["y"]) if getattr(ds, c, None) is None]
     if missing:
-        raise LossInputError(f"{kind.value} requires dataset columns {missing}")
-    if kind is LossKind.CONSTRAINED_MSE:
+        raise LossInputError(f"{method} requires dataset columns {missing}")
+    if method == "constrained_mse":
         return (ds.sweights[:, 0],)
-    if kind is LossKind.WEIGHTED_CE:
+    if method == "weighted_ce":
         return (ds.sweights[:, 0], ds.sweights[:, 1])
-    if kind is LossKind.EXACT_LIKELIHOOD:
+    if method == "exact_likelihood":
         check_densities(ds.ps, ds.pb)
         return (ds.ps, ds.pb)
     y = np.asarray(ds.y, dtype=float)
@@ -297,25 +302,22 @@ def _loss_columns(kind: LossKind, ds) -> tuple[np.ndarray, ...]:
 
 
 def train(
-    model: Mlp,
-    ds,
-    kind: LossKind,
-    opt: AdamConfig,
-    *,
-    eval_every: int = 500,
-    test=None,
-    auc_labels=None,
-    method_name: str | None = None,
+    method: str, model: Mlp, train_ds, test_ds, opt: AdamConfig, *, eval_every: int, cwola_center: float,
+    cwola_fraction: float,
 ) -> TrainReport:
-    """Run seeded mini-batch Adam and record the metric trace.
+    """Train one method's arm with seeded mini-batch Adam and record the metric trace.
+
+    ``method`` is one of ``METHODS``.  For ``cwola`` both splits are
+    relabelled by the mass window around ``cwola_center`` that holds
+    ``cwola_fraction`` of the train events.  Test AUC is scored against the
+    true labels of ``test_ds`` and is NaN without them; the test loss is NaN
+    when ``test_ds`` lacks the method's columns.
 
     Features are standardized with the train-split statistics.  Batches come
     from a seeded shuffle each epoch (the shuffle stream derives from the
     model seed, so runs sharing a seed also share the batch sequence).  The
     recorded train/test losses are per-event means plus the L2 term when
-    ``model.cfg.l2_coefficient > 0``.  Test AUC is scored against
-    ``auc_labels``, the true labels of the test split, and is NaN without
-    them; the test split's own labels may be proxies.
+    ``model.cfg.l2_coefficient > 0``.
 
     On a non-finite loss or gradient the run stops, and the returned report
     is marked ``aborted`` with the step and the reason, keeping the trace
@@ -323,70 +325,47 @@ def train(
     """
     if eval_every < 1:
         raise ValueError(f"eval_every must be >= 1, got {eval_every}")
-    method = method_name or kind.value
-    cols = _loss_columns(kind, ds)
+    loss_fn = _LOSS_FNS[method]
+    auc_labels = test_ds.y
+    if method == "cwola":
+        labeling = cwola_label(train_ds, cwola_center, cwola_fraction)
+        train_ds = train_ds.with_columns(y=labeling.labels)
+        test_ds = test_ds.with_columns(y=labeling.apply(test_ds.m))
+    cols = _loss_columns(method, train_ds)
+    try:
+        test_cols = _loss_columns(method, test_ds)
+    except LossInputError:
+        test_cols = None
 
-    mean = ds.X.mean(axis=0)
-    std = ds.X.std(axis=0)
+    mean = train_ds.X.mean(axis=0)
+    std = train_ds.X.std(axis=0)
     std = np.where(std > 0, std, 1.0)
-    x_train = (ds.X - mean) / std
-
-    test_cols = None
-    x_test = None
-    if test is not None:
-        x_test = (test.X - mean) / std
-        try:
-            test_cols = _loss_columns(kind, test)
-        except LossInputError:
-            test_cols = None
+    x_train = (train_ds.X - mean) / std
+    x_test = (test_ds.X - mean) / std
 
     n = x_train.shape[0]
     l2 = model.cfg.l2_coefficient
     rng = np.random.default_rng([model.cfg.seed, 0x5EED])
     adam = Adam(opt, model.n_params)
-
-    steps_rec: list[int] = []
-    train_rec: list[float] = []
-    test_rec: list[float] = []
-    auc_rec: list[float] = []
-    wall_rec: list[float] = []
+    trace = []  # (step, train loss, test loss, test AUC, wall time) per evaluation
     t0 = time.perf_counter()
 
     def record(step: int) -> None:
         z = model.forward(x_train)
-        tr = _LOSS_FNS[kind](z, *cols).loss / n
+        tr = loss_fn(z, *cols).loss / n
         if l2 > 0:
             tr += l2 * float(model.theta @ model.theta)
+        zt = model.forward(x_test)
         te = np.nan
-        auc = np.nan
-        if x_test is not None:
-            zt = model.forward(x_test)
-            if test_cols is not None:
-                te = _LOSS_FNS[kind](zt, *test_cols).loss / x_test.shape[0]
-                if l2 > 0:
-                    te += l2 * float(model.theta @ model.theta)
-            if auc_labels is not None:
-                auc = roc_auc(zt, auc_labels).auc
-        steps_rec.append(step)
-        train_rec.append(tr)
-        test_rec.append(te)
-        auc_rec.append(auc)
-        wall_rec.append(time.perf_counter() - t0)
-
-    def make_report(aborted=False, abort_step=None, abort_reason=None) -> TrainReport:
-        return TrainReport(
-            method=method,
-            steps=np.asarray(steps_rec, dtype=int),
-            train_loss=np.asarray(train_rec),
-            test_loss=np.asarray(test_rec),
-            test_auc=np.asarray(auc_rec),
-            wall_time=np.asarray(wall_rec),
-            aborted=aborted,
-            abort_step=abort_step,
-            abort_reason=abort_reason,
-        )
+        if test_cols is not None:
+            te = loss_fn(zt, *test_cols).loss / x_test.shape[0]
+            if l2 > 0:
+                te += l2 * float(model.theta @ model.theta)
+        auc = roc_auc(zt, auc_labels).auc if auc_labels is not None else np.nan
+        trace.append((step, tr, te, auc, time.perf_counter() - t0))
 
     record(0)
+    abort_step = abort_reason = None
     order = np.array([], dtype=int)
     cursor = 0
     grad_buffer = np.empty(model.n_params)
@@ -398,49 +377,23 @@ def train(
         cursor += opt.batch_size
 
         z, cache = model._forward_cached(x_train[idx])
-        le = _LOSS_FNS[kind](z, *(c[idx] for c in cols))
+        le = loss_fn(z, *(c[idx] for c in cols))
         if not np.isfinite(le.loss) or not np.all(np.isfinite(le.grad)):
-            return make_report(True, step, "non-finite batch loss or gradient")
+            abort_step, abort_reason = step, "non-finite batch loss or gradient"
+            break
         grad = model.backward(cache, le.grad, out=grad_buffer)
         grad /= len(idx)
         if l2 > 0:
             grad += 2.0 * l2 * model.theta
         if not np.all(np.isfinite(grad)):
-            return make_report(True, step, "non-finite parameter gradient")
+            abort_step, abort_reason = step, "non-finite parameter gradient"
+            break
         adam.step(model.theta, grad)
 
         if step % eval_every == 0 or step == opt.total_steps:
             record(step)
 
-    return make_report()
-
-
-# Loss of each method's training arm; ``cwola`` trains plain cross-entropy on mass-window region labels.
-METHOD_KINDS = {
-    "true_labels": LossKind.PLAIN_CE,
-    "constrained_mse": LossKind.CONSTRAINED_MSE,
-    "exact_likelihood": LossKind.EXACT_LIKELIHOOD,
-    "weighted_ce": LossKind.WEIGHTED_CE,
-    "cwola": LossKind.PLAIN_CE,
-}
-
-
-def train_arm(
-    method: str, model: Mlp, train_ds, test_ds, opt: AdamConfig, *, eval_every: int, cwola_center: float,
-    cwola_fraction: float,
-) -> TrainReport:
-    """Train one method's arm; as in ``train``, divergence is recorded on the returned report.
-
-    For ``cwola`` both splits are relabelled by the mass window around
-    ``cwola_center`` that holds ``cwola_fraction`` of the train events; the
-    test AUC is still scored against the true test labels.
-    """
-    auc_labels = test_ds.y
-    if method == "cwola":
-        labeling = cwola_label(train_ds, cwola_center, cwola_fraction)
-        train_ds = train_ds.with_columns(y=labeling.labels)
-        test_ds = test_ds.with_columns(y=labeling.apply(test_ds.m))
-    return train(
-        model, train_ds, METHOD_KINDS[method], opt,
-        eval_every=eval_every, test=test_ds, auc_labels=auc_labels, method_name=method,
+    steps, train_loss, test_loss, test_auc, wall_time = (np.asarray(col) for col in zip(*trace))
+    return TrainReport(
+        method, steps, train_loss, test_loss, test_auc, wall_time, abort_step is not None, abort_step, abort_reason
     )

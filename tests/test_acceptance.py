@@ -212,7 +212,7 @@ def attach(ds):
 
 def train_arm(method, train_ds, test_ds, *, hidden, steps, eval_every, seed, n_features, l2=0.0):
     model = Mlp(MlpConfig(input_dim=n_features, hidden=hidden, seed=seed, l2_coefficient=l2))
-    return sl.train_arm(
+    return sl.train(
         method, model, train_ds, test_ds, AdamConfig(total_steps=steps),
         eval_every=eval_every, cwola_center=4.0, cwola_fraction=0.5,
     )

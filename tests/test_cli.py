@@ -248,6 +248,12 @@ def test_readme_example_runs(tmp_path):
     assert summary["n_events"] == summary["n_rows_read"] == 100_000
 
 
+def test_readme_quick_start_runs(capsys):
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+    exec(block, {})
+    assert 0.5 < float(capsys.readouterr().out) <= 1.0
+
+
 def test_feature_scale_reaches_the_generator(tmp_path):
     cfg = base_config(tmp_path / "out", n=500)
     cfg["data"]["synthetic"]["feature_scale"] = 2.5
@@ -569,16 +575,55 @@ def test_an_error_raised_in_a_sweep_worker_exits_4(tmp_path, capsys, monkeypatch
     assert "numerical failure: planted in a sweep cell" in capsys.readouterr().err
 
 
-def test_cwola_test_auc_is_null_without_true_labels(tmp_path):
+def unlabelled_csv_config(tmp_path, **kw):
+    """A config reading a CSV of columns mass, a, b, with no label column."""
     ds = generate_synthetic(1200, 0.5, 3, n_features=2)
     csv_path = tmp_path / "events.csv"
     csv_path.write_text("mass,a,b\n" + "".join(f"{m!r},{a!r},{b!r}\n" for m, (a, b) in zip(ds.m.tolist(), ds.X.tolist())))
-    cfg = csv_config(tmp_path, csv_path, steps=40, methods=["constrained_mse", "cwola"])
+    cfg = csv_config(tmp_path, csv_path, **kw)
     del cfg["data"]["csv"]["label_column"]
+    return cfg
+
+
+def test_cwola_test_auc_is_null_without_true_labels(tmp_path):
+    cfg = unlabelled_csv_config(tmp_path, steps=40, methods=["constrained_mse", "cwola"])
     assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
     arms = json.loads((tmp_path / "out" / "arms.json").read_text())
     for method in ("constrained_mse", "cwola"):
         assert arms[method]["final_test_auc"] is None and arms[method]["peak_test_auc"] is None, method
+
+
+def test_demo_divergence_on_an_unlabelled_csv_exits_2_before_any_work(tmp_path, capsys):
+    # demo-divergence trains every method, true_labels among them, whatever config.methods lists
+    cfg = unlabelled_csv_config(tmp_path, steps=40)
+    assert main(["demo-divergence", "--config", str(write_config(tmp_path, cfg))]) == 2
+    assert "config error: config.data.csv.label_column: " in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*"))
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_size_sweep_over_an_unlabelled_csv_is_a_config_error(tmp_path, capsys, command):
+    # a sweep reports only test AUC against true labels
+    cfg = unlabelled_csv_config(tmp_path, steps=40)
+    cfg["sizes"] = [200, 400]
+    assert main([command, "--config", str(write_config(tmp_path, cfg))]) == 2
+    assert "config error: config.sizes: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "features, index",
+    [(["label", "a"], 0), (["a", "mass"], 1), (["a", "b", "a"], 2)],
+    ids=["the-label", "the-mass", "a-feature-twice"],
+)
+def test_feature_columns_name_no_column_twice(tmp_path, capsys, features, index):
+    csv_path = tmp_path / "events.csv"
+    csv_path.write_bytes(events_csv(generate_synthetic(600, 0.5, 7, n_features=2)))
+    cfg = csv_config(tmp_path, csv_path, steps=40)
+    cfg["data"]["csv"]["feature_columns"] = features
+    assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+    assert f"config error: config.data.csv.feature_columns[{index}]: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def counting(monkeypatch, name):

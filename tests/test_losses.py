@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from splotlearn.data import Dataset
 from splotlearn.losses import (
     LossInputError,
-    LossKind,
     constrained_mse,
     exact_likelihood,
     plain_ce,
     weighted_ce,
 )
+from splotlearn.model import METHODS, _loss_columns
 
 FD_H = 1e-6
 FD_RTOL = 1e-5
@@ -226,8 +227,19 @@ def test_exact_likelihood_reduces_to_plain_ce_with_indicator_densities():
         assert a.grad[0] == pytest.approx(b.grad[0], abs=1e-12, rel=1e-9)
 
 
-def test_losskind_required_columns():
-    assert LossKind.CONSTRAINED_MSE.required_columns == ("sweights",)
-    assert LossKind.EXACT_LIKELIHOOD.required_columns == ("ps", "pb")
-    assert LossKind.WEIGHTED_CE.required_columns == ("sweights",)
-    assert LossKind.PLAIN_CE.required_columns == ("y",)
+# The columns each method's loss reads.
+LOSS_COLUMNS = {
+    "true_labels": ["y"],
+    "constrained_mse": ["sweights"],
+    "exact_likelihood": ["ps", "pb"],
+    "weighted_ce": ["sweights"],
+    "cwola": ["y"],
+}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_loss_columns_name_the_method_and_its_missing_columns(method):
+    bare = Dataset(X=np.zeros((2, 1)), m=np.ones(2))
+    with pytest.raises(LossInputError) as exc:
+        _loss_columns(method, bare)
+    assert str(exc.value) == f"{method} requires dataset columns {LOSS_COLUMNS[method]}"

@@ -5,8 +5,12 @@ import pytest
 
 import splotlearn as sl
 from splotlearn import model as model_module
-from splotlearn.losses import LossInputError, LossKind, constrained_mse, exact_likelihood, plain_ce, weighted_ce
+from splotlearn.losses import LossInputError, constrained_mse, exact_likelihood, plain_ce, weighted_ce
 from splotlearn.model import FORWARD_BLOCK_ROWS, Adam, AdamConfig, Mlp, MlpConfig, train
+
+
+# the CWoLa window of the trainer's required keywords, unused by the other methods
+CWOLA = {"cwola_center": 4.0, "cwola_fraction": 0.5}
 
 
 def tiny_model(seed=0, input_dim=2, hidden=(3,)):
@@ -108,10 +112,10 @@ def loss_cases(rng, n):
     ps = rng.uniform(0.05, 2, n)
     pb = rng.uniform(0.05, 2, n)
     return [
-        (LossKind.PLAIN_CE, lambda z: plain_ce(z, y)),
-        (LossKind.CONSTRAINED_MSE, lambda z: constrained_mse(z, w)),
-        (LossKind.WEIGHTED_CE, lambda z: weighted_ce(z, ws, wb)),
-        (LossKind.EXACT_LIKELIHOOD, lambda z: exact_likelihood(z, ps, pb)),
+        ("true_labels", lambda z: plain_ce(z, y)),
+        ("constrained_mse", lambda z: constrained_mse(z, w)),
+        ("weighted_ce", lambda z: weighted_ce(z, ws, wb)),
+        ("exact_likelihood", lambda z: exact_likelihood(z, ps, pb)),
     ]
 
 
@@ -133,12 +137,12 @@ def test_backprop_matches_finite_differences_for_every_loss():
     rng = np.random.default_rng(123)
     n = 8
     x = rng.standard_normal((n, 2))
-    for kind, loss_fn in loss_cases(rng, n):
+    for method, loss_fn in loss_cases(rng, n):
         model = tiny_model(seed=5)
         z, cache = model._forward_cached(x)
         analytic = model.backward(cache, loss_fn(z).grad)
         fd = network_fd_gradient(model, x, loss_fn)
-        np.testing.assert_allclose(analytic, fd, rtol=1e-5, atol=1e-8, err_msg=str(kind))
+        np.testing.assert_allclose(analytic, fd, rtol=1e-5, atol=1e-8, err_msg=method)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +206,7 @@ def test_zero_learning_rate_keeps_parameters():
     ds = make_separable(512, 1)
     model = tiny_model(seed=2, input_dim=2, hidden=(4,))
     before = model.theta.copy()
-    rep = train(model, ds, LossKind.PLAIN_CE, AdamConfig(learning_rate=0.0, total_steps=200), eval_every=50)
+    rep = train("true_labels", model, ds, ds, AdamConfig(learning_rate=0.0, total_steps=200), eval_every=50, **CWOLA)
     np.testing.assert_array_equal(model.theta, before)
     assert np.ptp(rep.train_loss) == 0.0
 
@@ -212,7 +216,7 @@ def test_separable_data_reaches_high_auc():
     test = make_separable(4000, 4)
     model = Mlp(MlpConfig(input_dim=2, hidden=(16, 8), seed=0))
     opt = AdamConfig(learning_rate=3e-3, total_steps=2000)
-    rep = train(model, ds, LossKind.PLAIN_CE, opt, eval_every=500, test=test, auc_labels=test.y)
+    rep = train("true_labels", model, ds, test, opt, eval_every=500, **CWOLA)
     assert rep.test_auc[-1] > 0.99
 
 
@@ -223,7 +227,7 @@ def test_training_determinism():
     for _ in range(2):
         model = Mlp(MlpConfig(input_dim=2, hidden=(8, 4), seed=9))
         reports.append(
-            train(model, ds, LossKind.PLAIN_CE, AdamConfig(total_steps=300), eval_every=100, test=test, auc_labels=test.y)
+            train("true_labels", model, ds, test, AdamConfig(total_steps=300), eval_every=100, **CWOLA)
         )
     a, b = reports
     np.testing.assert_array_equal(a.steps, b.steps)
@@ -235,7 +239,7 @@ def test_training_determinism():
 def test_report_steps_strictly_increasing():
     ds = make_separable(600, 7)
     model = tiny_model(seed=1, input_dim=2, hidden=(4,))
-    rep = train(model, ds, LossKind.PLAIN_CE, AdamConfig(total_steps=250), eval_every=100)
+    rep = train("true_labels", model, ds, ds, AdamConfig(total_steps=250), eval_every=100, **CWOLA)
     assert np.all(np.diff(rep.steps) > 0)
     assert rep.steps[0] == 0 and rep.steps[-1] == 250
 
@@ -246,7 +250,7 @@ def test_missing_loss_columns_rejected():
     ds = make_separable(100, 8)  # no sweights attached
     model = tiny_model(seed=1, input_dim=2, hidden=(4,))
     with pytest.raises(LossInputError):
-        train(model, ds, LossKind.CONSTRAINED_MSE, AdamConfig(total_steps=10))
+        train("constrained_mse", model, ds, ds, AdamConfig(total_steps=10), eval_every=500, **CWOLA)
 
 
 def likelihood_dataset(n, seed):
@@ -261,10 +265,10 @@ def test_trainer_checks_loss_columns_once_not_per_batch(monkeypatch):
         fn = getattr(model_module, name)
         monkeypatch.setattr(model_module, name, lambda *cols, fn=fn: checked.append(len(cols[0])) or fn(*cols))
     ds, test = likelihood_dataset(300, 1), likelihood_dataset(100, 2)
-    for kind in (LossKind.EXACT_LIKELIHOOD, LossKind.PLAIN_CE):
+    for method in ("exact_likelihood", "true_labels"):
         checked.clear()
-        train(tiny_model(), ds, kind, AdamConfig(total_steps=40), eval_every=20, test=test)
-        assert checked == [300, 100], kind
+        train(method, tiny_model(), ds, test, AdamConfig(total_steps=40), eval_every=20, **CWOLA)
+        assert checked == [300, 100], method
 
 
 @pytest.mark.parametrize(
@@ -275,7 +279,7 @@ def test_trainer_rejects_bad_density_columns_before_training(ps, pb, match):
     model = tiny_model()
     theta = model.theta.copy()
     with pytest.raises(LossInputError, match=match):
-        train(model, ds, LossKind.EXACT_LIKELIHOOD, AdamConfig(total_steps=10))
+        train("exact_likelihood", model, ds, ds, AdamConfig(total_steps=10), eval_every=500, **CWOLA)
     np.testing.assert_array_equal(model.theta, theta)
 
 
@@ -284,7 +288,7 @@ def test_loss_columns_reject_labels_other_than_0_and_1():
         y = np.array([0.0, 1.0, 0.5])
 
     with pytest.raises(LossInputError, match="0 or 1"):
-        model_module._loss_columns(LossKind.PLAIN_CE, Labelled())
+        model_module._loss_columns("true_labels", Labelled())
 
 
 def test_divergence_abort_carries_partial_report():
@@ -299,11 +303,11 @@ def test_divergence_abort_carries_partial_report():
     model.theta[...] = 1e200
     opt = AdamConfig(total_steps=100)
     with np.errstate(over="ignore", invalid="ignore"):
-        report = train(model, ds, LossKind.WEIGHTED_CE, opt, eval_every=10)
+        report = train("weighted_ce", model, ds, ds, opt, eval_every=10, **CWOLA)
     assert report.aborted
     assert report.abort_step == 1
     assert report.abort_reason == "non-finite batch loss or gradient"
-    assert report.method == LossKind.WEIGHTED_CE.value
+    assert report.method == "weighted_ce"
     assert len(report.steps) >= 1
 
 
@@ -313,8 +317,8 @@ def test_l2_regularizer_shrinks_parameters():
     reg_cfg = MlpConfig(input_dim=2, hidden=(8,), seed=4, l2_coefficient=1e-2)
     m_plain, m_reg = Mlp(plain_cfg), Mlp(reg_cfg)
     opt = AdamConfig(total_steps=1500, learning_rate=1e-3)
-    train(m_plain, ds, LossKind.PLAIN_CE, opt, eval_every=1500)
-    train(m_reg, ds, LossKind.PLAIN_CE, opt, eval_every=1500)
+    train("true_labels", m_plain, ds, ds, opt, eval_every=1500, **CWOLA)
+    train("true_labels", m_reg, ds, ds, opt, eval_every=1500, **CWOLA)
     assert m_reg.theta @ m_reg.theta < m_plain.theta @ m_plain.theta
 
 
