@@ -30,7 +30,6 @@ from types import UnionType
 from typing import NamedTuple, get_args, get_origin
 
 import numpy as np
-import scipy
 
 from . import __version__, evaluation
 from .data import DataError, Dataset, CsvSchema, attach_sweights, generate_synthetic, ingest_csv, split
@@ -328,7 +327,6 @@ def _write_manifest(out_dir: Path, command: str, cfg: ExperimentConfig, seeds: l
         "versions": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "splotlearn": __version__,
         },
         "artifacts": {p.name: _sha256_file(p) for p in artifacts},
@@ -349,6 +347,7 @@ def _divergence_flags(report: TrainReport) -> dict:
     return {
         "aborted": bool(report.aborted),
         "abort_step": report.abort_step,
+        "abort_reason": report.abort_reason,
         "final_train_loss": float(report.train_loss[-1]) if len(report.train_loss) else None,
         "min_train_loss": float(np.min(report.train_loss)) if len(report.train_loss) else None,
         "peak_test_auc": float(np.max(finite_auc)) if len(finite_auc) else None,
@@ -448,8 +447,6 @@ def _sweep_cell_star(args):
 
 def _run_sweep_stage(cfg: ExperimentConfig, out_dir: Path, seeds: list[int], threads: int):
     sizes = cfg.sizes
-    if not sizes:
-        raise ConfigError("config.sizes: required for a size sweep")
     inputs = {seed: _sweep_inputs(cfg, seed) for seed in seeds}
     cells = [(size, method, seed) for size in sizes for method in cfg.methods for seed in seeds]
     args = [(cfg, method, seed, inputs[seed][0][size], inputs[seed][1]) for size, method, seed in cells]
@@ -487,8 +484,6 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
 
 
 def cmd_demo_divergence(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
-    if cfg.csv is not None and cfg.csv["label_column"] is None:
-        raise ConfigError("config.data.csv.label_column: required, as demo-divergence trains 'true_labels'")
     seed = cfg.seeds[0]
     reports, arm_info, artifacts = _run_training_stage(cfg, out_dir, seed, METHODS)
     shared = {info["init_theta_sha256"] for info in arm_info.values()}
@@ -527,6 +522,14 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     return 0
 
 
+def _check_command(command: str, cfg: ExperimentConfig) -> None:
+    """The checks ``command`` adds to ``parse_config``'s; ``main`` runs them before it writes anything."""
+    if command == "sweep" and not cfg.sizes:
+        raise ConfigError("config.sizes: required for a size sweep")
+    if command == "demo-divergence" and cfg.csv is not None and cfg.csv["label_column"] is None:
+        raise ConfigError("config.data.csv.label_column: required, as demo-divergence trains 'true_labels'")
+
+
 _COMMANDS = {
     "run": cmd_run,
     "demo-divergence": cmd_demo_divergence,
@@ -557,6 +560,7 @@ def main(argv=None) -> int:
             cfg.seeds = [_walk(args.seed, CONFIG["seeds"]._replace(type=int), "--seed")]
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+        _check_command(args.command, cfg)
         out_option = "--out" if args.out is not None else "config.output_dir"
         out_dir = Path(args.out if args.out is not None else cfg.output_dir)
         try:

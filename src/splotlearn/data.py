@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import splot
-from .density import MixtureModel, canonical_background_density, canonical_signal_density
+from .density import MixtureModel, canonical_background_density, canonical_signal_density, normal_cdf
 
 
 class DataError(RuntimeError):
@@ -124,10 +124,8 @@ def _feature_shifts(n_features: int) -> np.ndarray:
 
 def bayes_optimal_auc(n_features: int = 5, feature_scale: float = 1.0) -> float:
     """AUC of the true class posterior for the synthetic feature model."""
-    from scipy.special import ndtr
-
     delta = feature_scale * _feature_shifts(n_features)
-    return float(ndtr(np.linalg.norm(delta) / np.sqrt(2.0)))
+    return normal_cdf(float(np.linalg.norm(delta)) / math.sqrt(2.0))
 
 
 def generate_synthetic(

@@ -8,8 +8,9 @@ share between workers; sampling is a pure function of ``(density, n, seed)``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import ndtr
 
 # An event whose mixture denominator under the starting yields falls below
 # this is flagged: the yield fit, Vinv and the weights all leave it out, and
@@ -17,6 +18,11 @@ from scipy.special import ndtr
 DENOMINATOR_FLOOR = 1e-300
 
 _QUANTILE_GRID_SIZE = 4096
+
+
+def normal_cdf(x: float) -> float:
+    """Standard normal distribution function, ``0.5 * erfc(-x / sqrt(2))``."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def _as_array(m):
@@ -114,14 +120,15 @@ class TruncatedGaussian(Density1D):
             raise ValueError(f"mu must be finite, got {mu}")
         self.mu = float(mu)
         self.sigma = float(sigma)
-        cdf_lo = float(ndtr((lo - self.mu) / self.sigma))
-        self._mass = float(ndtr((hi - self.mu) / self.sigma)) - cdf_lo
+        cdf_lo = normal_cdf((lo - self.mu) / self.sigma)
+        self._mass = normal_cdf((hi - self.mu) / self.sigma) - cdf_lo
         if self._mass <= 0.0:
             raise ValueError(
                 f"gaussian(mu={mu}, sigma={sigma}) carries no probability mass on [{lo}, {hi}]"
             )
         grid = np.linspace(lo, hi, _QUANTILE_GRID_SIZE)
-        cdf_grid = (ndtr((grid - self.mu) / self.sigma) - cdf_lo) / self._mass
+        x = ((grid - self.mu) / self.sigma).tolist()
+        cdf_grid = (np.fromiter(map(normal_cdf, x), float, len(x)) - cdf_lo) / self._mass
         cdf_grid[0] = 0.0
         cdf_grid[-1] = 1.0
         # strictly increasing knots keep np.interp well defined in flat tails

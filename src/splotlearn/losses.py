@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 # Mixed-density bracket values are clipped here before the log; keeps the
 # likelihood finite when the model saturates against a zero density.
@@ -45,6 +44,11 @@ def _softplus(z):
     return np.logaddexp(0.0, z)
 
 
+def _sigmoid(z):
+    """``1 / (1 + exp(-z))``; callers ignore overflow, which gives the exact limit 0."""
+    return 1.0 / (1.0 + np.exp(-z))
+
+
 def constrained_mse(z, w) -> LossEval:
     """Mean-square regression of the sigmoid output onto per-event weights.
 
@@ -53,9 +57,10 @@ def constrained_mse(z, w) -> LossEval:
     """
     z = np.asarray(z, dtype=float)
     w = np.asarray(w, dtype=float)
-    s = expit(z)
+    with np.errstate(over="ignore"):
+        s, s_comp = _sigmoid(z), _sigmoid(-z)
     r = w - s
-    grad = -2.0 * r * s * expit(-z)
+    grad = -2.0 * r * s * s_comp
     return LossEval(float(np.sum(r * r)), grad)
 
 
@@ -85,8 +90,8 @@ def check_densities(ps: np.ndarray, pb: np.ndarray) -> None:
 
 def _exact_likelihood(z: np.ndarray, ps: np.ndarray, pb: np.ndarray) -> LossEval:
     """``exact_likelihood`` on float arrays that ``check_densities`` accepted."""
-    s = expit(z)
-    s_comp = expit(-z)  # 1 - sigmoid(z) without cancellation
+    with np.errstate(over="ignore"):
+        s, s_comp = _sigmoid(z), _sigmoid(-z)  # s_comp: 1 - sigmoid(z) without cancellation
     bracket = np.maximum(s * ps + s_comp * pb, LIKELIHOOD_FLOOR)
     grad = -(ps - pb) * s * s_comp / bracket
     return LossEval(float(-np.sum(np.log(bracket))), grad)
@@ -103,7 +108,9 @@ def weighted_ce(z, ws, wb) -> LossEval:
     ws = np.asarray(ws, dtype=float)
     wb = np.asarray(wb, dtype=float)
     loss = float(np.sum(ws * _softplus(-z) + wb * _softplus(z)))
-    grad = (ws + wb) * expit(z) - ws
+    with np.errstate(over="ignore"):
+        s = _sigmoid(z)
+    grad = (ws + wb) * s - ws
     return LossEval(loss, grad)
 
 
@@ -123,5 +130,7 @@ def check_labels(y: np.ndarray) -> None:
 def _plain_ce(z: np.ndarray, y: np.ndarray) -> LossEval:
     """``plain_ce`` on float arrays that ``check_labels`` accepted."""
     loss = float(np.sum(_softplus(z) - y * z))
-    grad = expit(z) - y
+    with np.errstate(over="ignore"):
+        s = _sigmoid(z)
+    grad = s - y
     return LossEval(loss, grad)

@@ -91,6 +91,7 @@ class SWeightTable:
             "kkt_residual": self.kkt_residual,
             "event_sum_residual": self.event_sum_residual,
             "species_sum_residual": self.species_sum_residual,
+            "yield_standard_errors": np.sqrt(np.diag(self.v)).tolist(),
         }
 
     @property

@@ -10,7 +10,10 @@ import io
 import json
 import math
 import multiprocessing
+import os
 import re
+import subprocess
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -20,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import splotlearn
 import splotlearn.cli as cli
 from splotlearn.cli import CONFIG, SHAPES, ConfigError, Shape, _load_dataset, load_config, main, parse_config
 from splotlearn.data import generate_synthetic
@@ -329,6 +333,8 @@ def fit_ok(fit):
     assert fit["event_sum_residual"] <= 1e-9
     assert fit["species_sum_residual"] <= 1e-12
     assert isinstance(fit["fit_loglik"], float)
+    errors = fit["yield_standard_errors"]
+    assert len(errors) == 2 and all(isinstance(e, float) and e > 0 for e in errors)
 
 
 def test_manifest_lists_every_artifact_with_checksum(run_once):
@@ -341,6 +347,7 @@ def test_manifest_lists_every_artifact_with_checksum(run_once):
         assert actual == digest, name
     assert manifest["config"]["data"]["synthetic"]["n"] == 2500
     assert "numpy" in manifest["versions"]
+    assert "scipy" not in manifest["versions"]
 
 
 def test_report_csv_schema(run_once):
@@ -596,9 +603,41 @@ def test_cwola_test_auc_is_null_without_true_labels(tmp_path):
 def test_demo_divergence_on_an_unlabelled_csv_exits_2_before_any_work(tmp_path, capsys):
     # demo-divergence trains every method, true_labels among them, whatever config.methods lists
     cfg = unlabelled_csv_config(tmp_path, steps=40)
-    assert main(["demo-divergence", "--config", str(write_config(tmp_path, cfg))]) == 2
+    out = tmp_path / "fresh"
+    assert main(["demo-divergence", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
     assert "config error: config.data.csv.label_column: " in capsys.readouterr().err
-    assert not list((tmp_path / "out").glob("*"))
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command, summary", [("run", "arms.json"), ("demo-divergence", "divergence_summary.json")])
+def test_the_summaries_record_why_an_arm_aborted(tmp_path, command, summary):
+    # a learning rate of 1e200 overflows the forward pass at the second step
+    cfg = base_config(tmp_path / "out", n=1200, methods=["weighted_ce", "constrained_mse"], steps=50)
+    cfg["training"]["learning_rate"] = 1e200
+    assert main([command, "--config", str(write_config(tmp_path, cfg))]) == 0
+    arms = json.loads((tmp_path / "out" / summary).read_text())
+    arms = arms.get("arms", arms)
+    assert {"weighted_ce", "constrained_mse"} <= set(arms)
+    for method, info in arms.items():
+        assert info["aborted"] and info["abort_step"] == 2, method
+        assert info["abort_reason"] == "non-finite batch loss or gradient", method
+
+
+def test_the_cli_loads_no_scipy(tmp_path):
+    cfg = base_config(tmp_path / "out", n=500)
+    script = (
+        "import sys\n"
+        "import splotlearn.cli\n"
+        f"code = splotlearn.cli.main(['sweights', '--config', {str(write_config(tmp_path, cfg))!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(splotlearn.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["0", "[]"]
+    assert (tmp_path / "out" / "sweights.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -750,9 +789,12 @@ def test_bad_csv_bytes_never_end_in_a_traceback(fuzz_files, data):
         assert re.search(r"line \d+|column '", err.getvalue()), err.getvalue()
 
 
-def test_sweep_without_sizes_is_config_error(tmp_path):
+def test_sweep_without_sizes_is_config_error(tmp_path, capsys):
     cfg = base_config(tmp_path / "out", n=500, steps=50)
-    assert main(["sweep", "--config", str(write_config(tmp_path, cfg))]) == 2
+    out = tmp_path / "fresh"
+    assert main(["sweep", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+    assert "config error: config.sizes: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_load_config_roundtrip(tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtr
 from scipy.stats import chi2, truncexpon, truncnorm, uniform
 
 from splotlearn.density import (
@@ -14,6 +15,7 @@ from splotlearn.density import (
     canonical_background_density,
     canonical_mixture,
     canonical_signal_density,
+    normal_cdf,
 )
 
 
@@ -67,6 +69,12 @@ def test_invalid_parameters_rejected_at_construction(make):
 
 # ---------------------------------------------------------------------------
 # evaluate
+
+
+def test_normal_cdf_agrees_with_ndtr():
+    # relative agreement wherever scipy's value is a normal double; below that, both are within one tiny of 0
+    x = np.linspace(-38.0, 38.0, 76_001)
+    np.testing.assert_allclose([normal_cdf(v) for v in x], ndtr(x), rtol=1e-12, atol=np.finfo(float).tiny)
 
 
 def test_uniform_evaluate():

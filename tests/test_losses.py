@@ -1,12 +1,18 @@
 """Loss values, analytic gradients vs finite differences, bounds, identities."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import expit
 
 from splotlearn.data import Dataset
 from splotlearn.losses import (
     LossInputError,
+    _sigmoid,
     constrained_mse,
     exact_likelihood,
     plain_ce,
@@ -41,6 +47,51 @@ def assert_grad_matches(fn, z):
     analytic = fn(z, slice(None)).grad
     fd = finite_difference_grad(fn, z)
     np.testing.assert_allclose(analytic, fd, rtol=FD_RTOL, atol=FD_ATOL)
+
+
+# ---------------------------------------------------------------------------
+# the sigmoid, against scipy's expit as an independent oracle
+
+
+def ulps_apart(a, b):
+    """Units in the last place between arrays of non-negative doubles."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    arrays(np.float64, st.integers(1, 256), elements=st.floats(-745.0, 745.0))
+    | arrays(np.float64, st.integers(1, 16), elements=st.floats(allow_nan=False, allow_infinity=False))
+)
+def test_sigmoid_is_within_4_ulp_of_expit(z):
+    with np.errstate(over="ignore"):
+        s = _sigmoid(z)
+    assert np.max(ulps_apart(s, expit(z))) <= 4
+
+
+def test_sigmoid_limits_and_nan():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = _sigmoid(np.array([np.inf, -np.inf, np.nan]))
+    assert s[0] == 1.0 and s[1] == 0.0 and np.isnan(s[2])
+
+
+@pytest.mark.parametrize(
+    "loss",
+    [
+        lambda z: constrained_mse(z, np.full(2, 0.5)),
+        lambda z: exact_likelihood(z, np.full(2, 0.3), np.full(2, 0.2)),
+        lambda z: weighted_ce(z, np.full(2, 0.8), np.full(2, -0.3)),
+        lambda z: plain_ce(z, np.array([1.0, 0.0])),
+    ],
+    ids=["constrained_mse", "exact_likelihood", "weighted_ce", "plain_ce"],
+)
+def test_a_saturated_logit_warns_of_no_overflow(loss):
+    z = np.array([-1000.0, 1000.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = loss(z)
+    assert np.isfinite(out.loss) and np.all(np.isfinite(out.grad))
 
 
 # ---------------------------------------------------------------------------

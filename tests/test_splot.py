@@ -255,13 +255,25 @@ def test_sweights_record_the_fit_and_the_identity_residuals():
     masses = np.concatenate([sample_mixture(mm, 5000, seed=5), [11.0]])
     table = compute_sweights(masses, mm)
     d = table.diagnostics()
-    assert set(d) == {"fit_iterations", "fit_loglik", "kkt_residual", "event_sum_residual", "species_sum_residual"}
+    assert set(d) == {
+        "fit_iterations", "fit_loglik", "kkt_residual", "event_sum_residual", "species_sum_residual",
+        "yield_standard_errors",
+    }
     assert 1 <= d["fit_iterations"] <= 10
     p = table.densities[:5000]
     assert d["fit_loglik"] == pytest.approx(np.sum(np.log(p @ table.yields)), rel=1e-12)
     assert d["kkt_residual"] <= 1e-12
     assert d["event_sum_residual"] == np.max(np.abs(table.weights[:5000].sum(axis=1) - 1.0)) <= 1e-9
     assert d["species_sum_residual"] <= 1e-12
+
+
+@pytest.mark.parametrize("overlap", [0.5, 0.8], ids=["a-yield-at-0", "all-yields-above-0"])
+def test_yield_standard_errors_are_the_root_diagonal_of_v(overlap):
+    masses, mm = overlapping_three_species(overlap)
+    table = compute_sweights(masses, mm)
+    errors = table.diagnostics()["yield_standard_errors"]
+    assert errors == np.sqrt(np.diag(table.v)).tolist()
+    assert [e == 0.0 for e in errors] == [y == 0.0 for y in table.yields]
 
 
 def test_flagged_events_get_zero_weights():
