@@ -5,11 +5,15 @@ Subcommands:
 * ``run``             generate/ingest data, compute sWeights, train every
                       configured method, emit learning curves (and a size
                       sweep when ``sizes`` is configured) plus a manifest.
-* ``demo-divergence`` train all five methods from shared initial weights on
-                      one dataset; the weighted cross-entropy arm is expected
-                      to diverge and gets flagged, not fatal.
+* ``demo-divergence`` ``run`` with all five methods from shared initial
+                      weights and without the sweep; it writes
+                      ``divergence_summary.json`` in place of ``arms.json``.
+                      The weighted cross-entropy arm is expected to diverge
+                      and gets flagged, not fatal.
 * ``sweights``        compute and export the sWeight table only.
-* ``sweep``           final test AUC per (train size, method, seed).
+* ``sweep``           the size sweep of ``run`` alone: final test AUC per
+                      (train size, method, seed).  ``--threads`` reaches
+                      only the sweep stage, of ``run`` or of ``sweep``.
 
 Configs are JSON; unknown keys are rejected with their path.  Exit codes:
 0 ok, 2 config error, 3 data error, 4 numerical failure outside the expected
@@ -19,6 +23,7 @@ divergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -324,16 +329,10 @@ def _write_manifest(out_dir: Path, command: str, cfg: ExperimentConfig, seeds: l
         "command": command,
         "config": cfg.raw,
         "seeds": seeds,
-        "versions": {
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-            "splotlearn": __version__,
-        },
+        "versions": {"python": sys.version.split()[0], "numpy": np.__version__, "splotlearn": __version__},
         "artifacts": {p.name: _sha256_file(p) for p in artifacts},
     }
-    path = out_dir / "manifest.json"
-    _json_dump(manifest, path)
-    return path
+    _json_dump(manifest, out_dir / "manifest.json")
 
 
 def _json_dump(obj, path: Path):
@@ -356,70 +355,35 @@ def _divergence_flags(report: TrainReport) -> dict:
     }
 
 
-def _run_training_stage(cfg: ExperimentConfig, out_dir: Path, seed: int, methods: list[str]):
-    """Shared by run and demo-divergence: data -> sWeights -> one model per method."""
-    ds, rows = _load_dataset(cfg, seed)
-    train_raw, test_raw = split(ds, cfg.test_fraction, seed)
-    _check_scorable(f"split of {ds.n} events", test_raw, train_raw.n)
-    mm_train = cfg.mixture(train_raw.n)
-    train_ds, train_table = attach_sweights(train_raw, mm_train)
-    test_ds, test_table = attach_sweights(test_raw, cfg.mixture(test_raw.n))
-
-    artifacts = []
-    sweights_path = out_dir / "sweights.csv"
-    train_table.to_csv(sweights_path)
-    artifacts.append(sweights_path)
-
-    summary = {
-        **rows,
-        "n_total": ds.n,
-        "n_train": train_ds.n,
-        "n_test": test_ds.n,
-        "n_train_flagged": int(train_table.flagged_events.size),
-        "n_test_flagged": int(test_table.flagged_events.size),
-        "train_label_mean": float(train_ds.y.mean()) if train_ds.y is not None else None,
-        "fitted_yields_train": [float(v) for v in train_table.yields],
-        "fitted_yields_test": [float(v) for v in test_table.yields],
-        "v_condition_number": train_table.condition_number,
-        "n_features": int(train_ds.X.shape[1]),
-        "fit_train": train_table.diagnostics(),
-        "fit_test": test_table.diagnostics(),
+def _table_summary(table, tag: str = "") -> dict:
+    """A weight table's summary keys: its flagged count ``n<tag>_flagged``, ``fitted_yields<tag>`` and ``fit<tag>``."""
+    return {
+        f"n{tag}_flagged": int(table.flagged_events.size),
+        f"fitted_yields{tag}": [float(v) for v in table.yields],
+        f"fit{tag}": table.diagnostics(),
     }
 
-    reports = {}
-    arm_info = {}
-    for method in methods:
-        model, report, init_sha = _train_method(cfg, method, train_ds, test_ds, seed)
-        reports[method] = report
-        arm_info[method] = {"init_theta_sha256": init_sha, **_divergence_flags(report)}
-        rpath = out_dir / f"report_{method}.csv"
-        report.to_csv(rpath)
-        artifacts.append(rpath)
 
-    curves_csv = out_dir / "learning_curves.csv"
-    curves_svg = out_dir / "learning_curves.svg"
-    evaluation.learning_curve([reports[m] for m in methods], methods, curves_csv, curves_svg)
-    artifacts += [curves_csv, curves_svg]
+def _weighted_inputs(cfg: ExperimentConfig, seed: int, sizes: list[int] | None = None):
+    """One seed's weighted (dataset, table) pairs: the train sets keyed by size, the test set; and the row counts.
 
-    summary_path = out_dir / "dataset_summary.json"
-    _json_dump(summary, summary_path)
-    artifacts.append(summary_path)
-    return reports, arm_info, artifacts
-
-
-def _sweep_inputs(cfg: ExperimentConfig, seed: int):
-    """One seed's inputs shared by all its cells: the weighted train set of each size, and the weighted test set."""
-    if cfg.synthetic is not None:
+    Without ``sizes`` the one train set is the whole train split, keyed None.  A synthetic sweep reads no rows.
+    """
+    if sizes and cfg.synthetic is not None:
         test_seed = int(np.random.SeedSequence([seed, 0x7E57]).generate_state(1)[0])
         test_raw = generate_synthetic(seed=test_seed, **{**cfg.synthetic, "n": cfg.sweep_test_n})
         _check_scorable(f"sweep test set of seed {seed}", test_raw)
+        rows = None
     else:
-        ds, _ = _load_dataset(cfg, seed)
+        ds, rows = _load_dataset(cfg, seed)
         train_pool, test_raw = split(ds, cfg.test_fraction, seed)
         _check_scorable(f"split of {ds.n} events", test_raw, train_pool.n)
+        rows["n_total"] = ds.n
     trains = {}
-    for size in cfg.sizes:
-        if cfg.synthetic is not None:
+    for size in sizes or [None]:
+        if size is None:
+            train_raw = train_pool
+        elif cfg.synthetic is not None:
             train_seed = int(np.random.SeedSequence([seed, size]).generate_state(1)[0])
             train_raw = generate_synthetic(seed=train_seed, **{**cfg.synthetic, "n": size})
         else:
@@ -427,18 +391,47 @@ def _sweep_inputs(cfg: ExperimentConfig, seed: int):
                 raise DataError(f"sweep size {size} exceeds available train events {train_pool.n}")
             rng = np.random.default_rng([seed, size])
             train_raw = train_pool.subset(rng.permutation(train_pool.n)[:size])
-        trains[size], _ = attach_sweights(train_raw, cfg.mixture(train_raw.n))
-    test_ds, _ = attach_sweights(test_raw, cfg.mixture(test_raw.n))
-    return trains, test_ds
+        trains[size] = attach_sweights(train_raw, cfg.mixture(train_raw.n))
+    return trains, attach_sweights(test_raw, cfg.mixture(test_raw.n)), rows
+
+
+def _run_training_stage(cfg: ExperimentConfig, out_dir: Path, seed: int, methods: list[str]):
+    """Data -> sWeights -> one model per method; returns each arm's record and the files written."""
+    trains, (test_ds, test_table), rows = _weighted_inputs(cfg, seed)
+    train_ds, train_table = trains[None]
+    artifacts = [out_dir / "sweights.csv"]
+    train_table.to_csv(artifacts[0])
+
+    summary = {
+        **rows,
+        "n_train": train_ds.n,
+        "n_test": test_ds.n,
+        "train_label_mean": float(train_ds.y.mean()) if train_ds.y is not None else None,
+        "v_condition_number": train_table.condition_number,
+        "n_features": int(train_ds.X.shape[1]),
+        **_table_summary(train_table, "_train"),
+        **_table_summary(test_table, "_test"),
+    }
+
+    reports, arm_info = {}, {}
+    for method in methods:
+        _model, reports[method], init_sha = _train_method(cfg, method, train_ds, test_ds, seed)
+        arm_info[method] = {"init_theta_sha256": init_sha, **_divergence_flags(reports[method])}
+        artifacts.append(out_dir / f"report_{method}.csv")
+        reports[method].to_csv(artifacts[-1])
+
+    curves = [out_dir / "learning_curves.csv", out_dir / "learning_curves.svg"]
+    evaluation.learning_curve([reports[m] for m in methods], methods, *curves)
+    artifacts += [*curves, out_dir / "dataset_summary.json"]
+    _json_dump(summary, artifacts[-1])
+    return arm_info, artifacts
 
 
 def _sweep_cell(cfg: ExperimentConfig, method: str, seed: int, train_ds: Dataset, test_ds: Dataset):
     """Train one sweep cell on its weighted train and test sets; returns the final test AUC or None on divergence."""
     _model, report, _sha = _train_method(cfg, method, train_ds, test_ds, seed)
-    if report.aborted or len(report.test_auc) == 0:
-        return None
-    final_auc = report.test_auc[-1]
-    return None if not np.isfinite(final_auc) else float(final_auc)
+    final_auc = report.test_auc[-1] if len(report.test_auc) else np.nan
+    return None if report.aborted or not np.isfinite(final_auc) else float(final_auc)
 
 
 def _sweep_cell_star(args):
@@ -446,9 +439,11 @@ def _sweep_cell_star(args):
 
 
 def _run_sweep_stage(cfg: ExperimentConfig, out_dir: Path, seeds: list[int], threads: int):
-    sizes = cfg.sizes
-    inputs = {seed: _sweep_inputs(cfg, seed) for seed in seeds}
-    cells = [(size, method, seed) for size in sizes for method in cfg.methods for seed in seeds]
+    inputs = {}
+    for seed in seeds:  # the cells read only the weighted datasets, so their tables are not kept through the sweep
+        trains, (test_ds, _), _ = _weighted_inputs(cfg, seed, cfg.sizes)
+        inputs[seed] = {size: ds for size, (ds, _) in trains.items()}, test_ds
+    cells = [(size, method, seed) for size in cfg.sizes for method in cfg.methods for seed in seeds]
     args = [(cfg, method, seed, inputs[seed][0][size], inputs[seed][1]) for size, method, seed in cells]
     if threads > 1:
         # the pool starts all its workers at once, so more workers than cells would sit idle
@@ -458,42 +453,29 @@ def _run_sweep_stage(cfg: ExperimentConfig, out_dir: Path, seeds: list[int], thr
         results = list(map(_sweep_cell_star, args))
     lookup = dict(zip(cells, results))
 
-    sweep_csv = out_dir / "sweep.csv"
-    summary_csv = out_dir / "sweep_summary.csv"
-    sweep_svg = out_dir / "sweep.svg"
-    result = evaluation.size_sweep(
-        sizes, cfg.methods, seeds, lambda *cell: lookup[cell], out_csv=sweep_csv, out_summary_csv=summary_csv, out_svg=sweep_svg
-    )
-    return result, [sweep_csv, summary_csv, sweep_svg]
+    paths = [out_dir / "sweep.csv", out_dir / "sweep_summary.csv", out_dir / "sweep.svg"]
+    evaluation.size_sweep(cfg.sizes, cfg.methods, seeds, lambda *cell: lookup[cell], *paths)
+    return paths
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_run(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
-    seed = cfg.seeds[0]
-    reports, arm_info, artifacts = _run_training_stage(cfg, out_dir, seed, cfg.methods)
-    _json_dump(arm_info, out_dir / "arms.json")
-    artifacts.append(out_dir / "arms.json")
-    if cfg.sizes:
-        _result, sweep_artifacts = _run_sweep_stage(cfg, out_dir, cfg.seeds, threads)
-        artifacts += sweep_artifacts
-    _write_manifest(out_dir, "run", cfg, [seed] if not cfg.sizes else cfg.seeds, artifacts)
-    return 0
-
-
-def cmd_demo_divergence(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
-    seed = cfg.seeds[0]
-    reports, arm_info, artifacts = _run_training_stage(cfg, out_dir, seed, METHODS)
-    shared = {info["init_theta_sha256"] for info in arm_info.values()}
-    demo = {
-        "shared_initial_weights": len(shared) == 1,
-        "arms": arm_info,
-    }
-    _json_dump(demo, out_dir / "divergence_summary.json")
-    artifacts.append(out_dir / "divergence_summary.json")
-    _write_manifest(out_dir, "demo-divergence", cfg, [seed], artifacts)
+def _experiment(command: str, cfg: ExperimentConfig, out_dir: Path, threads: int, *, arms, summary, sweeps: bool) -> int:
+    """A command that trains: ``arms(cfg)`` on the first seed, recorded in ``summary``, then the size sweep if ``sweeps``."""
+    seed, artifacts = cfg.seeds[0], []
+    if summary is not None:
+        arm_info, artifacts = _run_training_stage(cfg, out_dir, seed, arms(cfg))
+        if command == "demo-divergence":
+            shared = {info["init_theta_sha256"] for info in arm_info.values()}
+            arm_info = {"shared_initial_weights": len(shared) == 1, "arms": arm_info}
+        artifacts.append(out_dir / summary)
+        _json_dump(arm_info, artifacts[-1])
+    sweeping = sweeps and bool(cfg.sizes)
+    if sweeping:
+        artifacts += _run_sweep_stage(cfg, out_dir, cfg.seeds, threads)
+    _write_manifest(out_dir, command, cfg, cfg.seeds if sweeping else [seed], artifacts)
     return 0
 
 
@@ -501,24 +483,11 @@ def cmd_sweights(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     seed = cfg.seeds[0]
     ds, rows = _load_dataset(cfg, seed)
     table = compute_sweights(ds.m, cfg.mixture(ds.n))
-    path = out_dir / "sweights.csv"
-    table.to_csv(path)
-    summary = {
-        **rows,
-        "n_events": ds.n,
-        "n_flagged": int(table.flagged_events.size),
-        "fitted_yields": [float(v) for v in table.yields],
-        "v_condition_number": table.condition_number,
-        "fit": table.diagnostics(),
-    }
-    _json_dump(summary, out_dir / "sweights_summary.json")
-    _write_manifest(out_dir, "sweights", cfg, [seed], [path, out_dir / "sweights_summary.json"])
-    return 0
-
-
-def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
-    _result, artifacts = _run_sweep_stage(cfg, out_dir, cfg.seeds, threads)
-    _write_manifest(out_dir, "sweep", cfg, cfg.seeds, artifacts)
+    paths = [out_dir / "sweights.csv", out_dir / "sweights_summary.json"]
+    table.to_csv(paths[0])
+    summary = {**rows, "n_events": ds.n, "v_condition_number": table.condition_number, **_table_summary(table)}
+    _json_dump(summary, paths[1])
+    _write_manifest(out_dir, "sweights", cfg, [seed], paths)
     return 0
 
 
@@ -530,11 +499,14 @@ def _check_command(command: str, cfg: ExperimentConfig) -> None:
         raise ConfigError("config.data.csv.label_column: required, as demo-divergence trains 'true_labels'")
 
 
+# a command that trains names its arms, the file that records them (None: no arms) and whether it runs the size sweep
 _COMMANDS = {
-    "run": cmd_run,
-    "demo-divergence": cmd_demo_divergence,
+    "run": functools.partial(_experiment, "run", arms=lambda cfg: cfg.methods, summary="arms.json", sweeps=True),
+    "demo-divergence": functools.partial(
+        _experiment, "demo-divergence", arms=lambda cfg: METHODS, summary="divergence_summary.json", sweeps=False
+    ),
     "sweights": cmd_sweights,
-    "sweep": cmd_sweep,
+    "sweep": functools.partial(_experiment, "sweep", arms=None, summary=None, sweeps=True),
 }
 
 

@@ -369,29 +369,31 @@ def train(
     order = np.array([], dtype=int)
     cursor = 0
     grad_buffer = np.empty(model.n_params)
-    for step in range(1, opt.total_steps + 1):
-        if cursor + opt.batch_size > len(order):
-            order = rng.permutation(n)
-            cursor = 0
-        idx = order[cursor : cursor + opt.batch_size]
-        cursor += opt.batch_size
+    # a diverging arm overflows; the finiteness checks below record where and why
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, opt.total_steps + 1):
+            if cursor + opt.batch_size > len(order):
+                order = rng.permutation(n)
+                cursor = 0
+            idx = order[cursor : cursor + opt.batch_size]
+            cursor += opt.batch_size
 
-        z, cache = model._forward_cached(x_train[idx])
-        le = loss_fn(z, *(c[idx] for c in cols))
-        if not np.isfinite(le.loss) or not np.all(np.isfinite(le.grad)):
-            abort_step, abort_reason = step, "non-finite batch loss or gradient"
-            break
-        grad = model.backward(cache, le.grad, out=grad_buffer)
-        grad /= len(idx)
-        if l2 > 0:
-            grad += 2.0 * l2 * model.theta
-        if not np.all(np.isfinite(grad)):
-            abort_step, abort_reason = step, "non-finite parameter gradient"
-            break
-        adam.step(model.theta, grad)
+            z, cache = model._forward_cached(x_train[idx])
+            le = loss_fn(z, *(c[idx] for c in cols))
+            if not np.isfinite(le.loss) or not np.all(np.isfinite(le.grad)):
+                abort_step, abort_reason = step, "non-finite batch loss or gradient"
+                break
+            grad = model.backward(cache, le.grad, out=grad_buffer)
+            grad /= len(idx)
+            if l2 > 0:
+                grad += 2.0 * l2 * model.theta
+            if not np.all(np.isfinite(grad)):
+                abort_step, abort_reason = step, "non-finite parameter gradient"
+                break
+            adam.step(model.theta, grad)
 
-        if step % eval_every == 0 or step == opt.total_steps:
-            record(step)
+            if step % eval_every == 0 or step == opt.total_steps:
+                record(step)
 
     steps, train_loss, test_loss, test_auc, wall_time = (np.asarray(col) for col in zip(*trace))
     return TrainReport(

@@ -18,7 +18,9 @@ from splotlearn.cli import main as cli_main
 from splotlearn.evaluation import roc_auc, size_sweep
 from splotlearn.losses import constrained_mse, exact_likelihood, plain_ce, weighted_ce
 from splotlearn.model import AdamConfig, Mlp, MlpConfig
-from splotlearn.splot import compute_sweights, conditional_sweight_check
+from splotlearn.splot import compute_sweights
+
+from conditional_check import conditional_sweight_check
 
 N_EVENTS = 100_000
 SIGNAL_FRACTION = 0.5

@@ -29,9 +29,11 @@ from splotlearn.cli import CONFIG, SHAPES, ConfigError, Shape, _load_dataset, lo
 from splotlearn.data import generate_synthetic
 from splotlearn.density import Density1D
 from splotlearn.losses import LossInputError
+from splotlearn.model import METHODS
 from splotlearn.splot import SplotError
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def base_config(out_dir, n=2500, methods=None, steps=250):
@@ -542,6 +544,34 @@ def test_sweep_pool_has_no_more_workers_than_cells(tmp_path, monkeypatch):
         assert (tmp_path / "64" / name).read_bytes() == (tmp_path / "1" / name).read_bytes(), name
 
 
+@pytest.fixture(scope="module")
+def every_method_runs(tmp_path_factory):
+    """``demo-divergence`` on a config with sizes, and ``run`` and ``sweep`` on it with every method."""
+    tmp_path = tmp_path_factory.mktemp("every")
+    cfg = base_config(tmp_path / "out", n=800, steps=40)
+    cfg["sizes"], cfg["sweep"] = [200, 400], {"test_n": 300}
+    path = write_config(tmp_path, cfg)
+    every = write_config(tmp_path, dict(cfg, methods=list(METHODS)), "every.json")
+    for command, config in [("demo-divergence", path), ("run", every), ("sweep", every)]:
+        assert main([command, "--config", str(config), "--out", str(tmp_path / command)]) == 0
+    return tmp_path
+
+
+def test_demo_divergence_writes_what_run_with_every_method_writes(every_method_runs):
+    demo, run = every_method_runs / "demo-divergence", every_method_runs / "run"
+    names = ["sweights.csv", "learning_curves.csv", "learning_curves.svg", "dataset_summary.json"]
+    for name in names + [f"report_{method}.csv" for method in METHODS]:
+        assert (demo / name).read_bytes() == (run / name).read_bytes(), name
+    assert not (demo / "sweep.csv").exists()  # demo-divergence ignores sizes
+
+
+def test_sweep_writes_what_run_with_sizes_writes(every_method_runs):
+    sweep, run = every_method_runs / "sweep", every_method_runs / "run"
+    for name in ["sweep.csv", "sweep_summary.csv", "sweep.svg"]:
+        assert (sweep / name).read_bytes() == (run / name).read_bytes(), name
+    assert sorted(p.name for p in sweep.iterdir()) == ["manifest.json", "sweep.csv", "sweep.svg", "sweep_summary.csv"]
+
+
 def events_csv(ds, mass=repr) -> bytes:
     """``ds`` as a CSV with columns mass, label, a, b."""
     rows = [[mass(m), str(y), *map(repr, x)] for m, y, x in zip(ds.m.tolist(), ds.y.tolist(), ds.X.tolist())]
@@ -609,10 +639,10 @@ def test_demo_divergence_on_an_unlabelled_csv_exits_2_before_any_work(tmp_path, 
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command, summary", [("run", "arms.json"), ("demo-divergence", "divergence_summary.json")])
 def test_the_summaries_record_why_an_arm_aborted(tmp_path, command, summary):
-    # a learning rate of 1e200 overflows the forward pass at the second step
+    # a learning rate of 1e200 overflows the forward pass at the second step; the arm is recorded, with no warning
     cfg = base_config(tmp_path / "out", n=1200, methods=["weighted_ce", "constrained_mse"], steps=50)
     cfg["training"]["learning_rate"] = 1e200
     assert main([command, "--config", str(write_config(tmp_path, cfg))]) == 0
@@ -632,12 +662,31 @@ def test_the_cli_loads_no_scipy(tmp_path):
         f"code = splotlearn.cli.main(['sweights', '--config', {str(write_config(tmp_path, cfg))!r}])\n"
         "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    src = str(Path(splotlearn.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=package_env(), timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["0", "[]"]
     assert (tmp_path / "out" / "sweights.csv").exists()
+
+
+def package_env():
+    """The environment with the imported splotlearn first on PYTHONPATH, for a subprocess."""
+    src = str(Path(splotlearn.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+@pytest.mark.parametrize("command, threads", [("run", "1"), ("demo-divergence", "1"), ("sweights", "1"), ("sweep", "2")])
+def test_the_benchmark_tracer_runs_every_command(tmp_path, command, threads):
+    # bench/trace_cli.py wraps cli's own names, its command table and its process pool from outside
+    cfg = base_config(tmp_path / "out", n=400, steps=20, methods=["constrained_mse", "cwola"])
+    cfg["sizes"], cfg["sweep"] = [100, 200], {"test_n": 200}
+    args = [command, "--config", str(write_config(tmp_path, cfg)), "--threads", threads]
+    trace = tmp_path / "trace.json"
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "trace_cli.py"), str(trace), *args],
+        capture_output=True, text=True, env=package_env(), timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "metrics" in json.loads(trace.read_text())
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])

@@ -19,7 +19,9 @@ from splotlearn.data import (
     split,
 )
 from splotlearn.data import _parse_body_fast, _parse_body_strict
-from splotlearn.density import MixtureModel, Uniform, canonical_mixture
+from splotlearn.density import (
+    MixtureModel, TruncatedExponential, TruncatedGaussian, Uniform, canonical_mixture, canonical_signal_density,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +75,22 @@ def test_generation_deterministic():
     np.testing.assert_array_equal(a.X, b.X)
     np.testing.assert_array_equal(a.m, b.m)
     np.testing.assert_array_equal(a.y, b.y)
+
+
+def test_generation_builds_the_mass_densities_once(monkeypatch):
+    built = []
+    init = TruncatedGaussian.__init__
+    monkeypatch.setattr(TruncatedGaussian, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    canonical_signal_density.cache_clear()
+    a = generate_synthetic(1000, 0.5, seed=3)
+    b = generate_synthetic(1000, 0.5, seed=4)
+    assert built == [(4.0, 1.0, 0.0, 8.0)]
+    # the shared densities draw the bits that fresh ones draw from the generator's mass seeds
+    for ds, seed in ((a, 3), (b, 4)):
+        _, s_sig, s_bkg, _ = (int(s) for s in np.random.SeedSequence(seed).generate_state(4))
+        sig = ds.y == 1
+        assert ds.m[sig].tobytes() == TruncatedGaussian(4.0, 1.0, 0.0, 8.0).sample(int(sig.sum()), s_sig).tobytes()
+        assert ds.m[~sig].tobytes() == TruncatedExponential(0.4, 0.0, 8.0).sample(int((~sig).sum()), s_bkg).tobytes()
 
 
 def test_generation_has_one_null_feature():

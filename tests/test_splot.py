@@ -17,9 +17,10 @@ from splotlearn.splot import (
     YieldFitError,
     compute_sweights,
     compute_vinv,
-    conditional_sweight_check,
     fit_yields,
 )
+
+from conditional_check import conditional_sweight_check
 
 
 def sample_mixture(mm, n, seed):
