@@ -37,9 +37,19 @@ _FIT_MAX_ITER = 200
 # max(|L|, n) is within the rounding of L and counts as no change.
 _LOGLIK_SLACK = 1e-13
 
-# Rows formatted per write. Larger blocks are no faster, and the Python
-# floats and strings of a block stay resident in the allocator afterwards.
+# Rows formatted per write. A block's working arrays take a few hundred bytes
+# per weight, so memory stays bounded whatever the table's size; larger blocks
+# were no faster.
 _CSV_BLOCK_ROWS = 4096
+# the digits of 0..9999, one row per place, so one gather writes four places;
+# built in uint8, so the import allocates no large temporaries
+_DIGITS4 = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, 10000) + np.uint8(ord("0"))
+# 10**p, exact for 0 <= p <= 22, with Dekker's 26-bit halves
+_POW10 = 10.0 ** np.arange(23)
+_POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+# a field is "," + the text of format(v, ".17g"), which is at most 24 bytes
+_FIELD = 25
 
 
 class SplotError(RuntimeError):
@@ -103,16 +113,103 @@ class SWeightTable:
         return self.weights.shape[1]
 
     def to_csv(self, path) -> None:
-        """Write ``event_index,sweight_<species0>,...`` rows at full double precision."""
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write("event_index," + ",".join(f"sweight_{s}" for s in self.species) + "\n")
-            # str.format applies format(x, ".17g") to each Python float, so a
-            # block writes the same bytes as a per-row loop
-            row = "{}" + ",{:.17g}" * self.n_species + "\n"
+        """Write ``event_index,sweight_<species0>,...`` rows, each weight as ``format(w, ".17g")``."""
+        with open(path, "wb") as f:
+            f.write(("event_index," + ",".join(f"sweight_{s}" for s in self.species) + "\n").encode())
             for start in range(0, self.n_events, _CSV_BLOCK_ROWS):
-                stop = min(start + _CSV_BLOCK_ROWS, self.n_events)
-                columns = [self.weights[start:stop, j].tolist() for j in range(self.n_species)]
-                f.write("".join(map(row.format, range(start, stop), *columns)))
+                block = self.weights[start : start + _CSV_BLOCK_ROWS]
+                f.write(_csv_rows(np.arange(start, start + block.shape[0]), block))
+
+
+def _digit_chars(n: np.ndarray, groups: int) -> np.ndarray:
+    """The ASCII digits of the non-negative ints ``n``, zero-padded to ``4 * groups``, one row per place."""
+    chars = np.empty((4 * groups, n.size), np.uint8)
+    for g in range(groups - 1, -1, -1):
+        q = n // 10000
+        r = n - q * 10000
+        for i in range(4):
+            np.take(_DIGITS4[i], r, out=chars[4 * g + i])
+        n = q
+    return chars
+
+
+def _times_pow10(a: np.ndarray, p: np.ndarray):
+    """Dekker's two-product: ``hi + lo == a * 10**p`` exactly, ``hi`` the rounded product."""
+    hi = a * _POW10[p]
+    c = a * 134217729.0
+    ah = c - (c - a)
+    al = a - ah
+    bh, bl = _POW10_HI[p], _POW10_LO[p]
+    return hi, al * bl - (((hi - ah * bh) - al * bh) - ah * bl)
+
+
+def _significand(a: np.ndarray):
+    """For 1e-4 <= a < 1e15: ``a`` rounded half-even to 17 significant digits, as the int
+    ``n`` in [1e16, 1e17) and the decimal exponent ``x`` of its first digit."""
+    p = 16 - np.floor(np.log10(a)).astype(np.int64)
+    hi, lo = _times_pow10(a, p)
+    # log10 can land one off beside a power of ten: move a * 10**p into [1e16, 1e17), decided exactly
+    shift = ((hi < 1e16) | ((hi == 1e16) & (lo < 0))).astype(np.int64) - ((hi > 1e17) | ((hi == 1e17) & (lo >= 0)))
+    off = np.flatnonzero(shift)
+    if off.size:
+        p[off] += shift[off]
+        hi[off], lo[off] = _times_pow10(a[off], p[off])
+    # hi is an even integer >= 2**53 and |lo| <= 8, so the half-even rounding of hi + lo is exact;
+    # 17 digits tell doubles apart, so none below a power of ten rounds up to it and n < 1e17
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64), 16 - p
+
+
+def _csv_rows(index: np.ndarray, w: np.ndarray) -> bytes:
+    """The CSV lines ``"{}" + ",{:.17g}" * k`` of each event index and weight row, as bytes.
+
+    ±0 and 1e-4 <= |v| < 1e15, where ``%g`` writes fixed notation, are formatted
+    here; every other value goes through ``format`` one at a time.  The text is
+    built one character place per row, so each numpy pass runs over all values.
+    """
+    b, k = w.shape
+    v = w.T.ravel()
+    a = np.abs(v)
+    zero = a == 0
+    fallback = ~(zero | ((a >= 1e-4) & (a < 1e15)))
+    n, x = _significand(np.where(zero | fallback, 1.0, a))
+    # z[3:24] is "0000" + the 17 digits, so 0.0001 needs no padding; z[24] is never shown
+    z = np.full((25, v.size), ord("0"), np.uint8)
+    z[4:24] = _digit_chars(n, 5)
+    z[7, zero] = ord("0")
+    # the point goes after z[3 + 4 + x]: digits before it, digits shifted by one after it
+    place = np.arange(22, dtype=np.int8)[:, None]
+    point = (5 + x).astype(np.int8)
+    before, at = place < point, place == point
+    text = z[2:24] ^ ((z[2:24] ^ z[3:25]) & -before.view(np.uint8))
+    text ^= (text ^ ord(".")) & -at.view(np.uint8)
+    # shown: the integer digits from the units or the first leading zero, and the
+    # fraction up to its last nonzero digit, with the point only before one;
+    # tail[1 + i] says some digit from z[3 + i] on is not 0
+    tail = np.zeros((23, v.size), bool)
+    for i in range(20, -1, -1):
+        np.logical_or(tail[2 + i], z[3 + i] != ord("0"), out=tail[1 + i])
+    first = 4 + np.minimum(x, 0).astype(np.int8)
+    shown = (before & (place >= first)) | (at & tail[1:23]) | (~(before | at) & tail[:22])
+    # one row per character place of a CSV row, one column per row
+    groups = -(-len(str(index[-1])) // 4)
+    chars = np.empty((4 * groups + k * _FIELD + 1, b), np.uint8)
+    keep = np.zeros(chars.shape, bool)
+    chars[: 4 * groups] = _digit_chars(index, groups)
+    keep[: 4 * groups] = index >= 10 ** np.arange(4 * groups - 1, -1, -1)[:, None]
+    keep[4 * groups - 1] = True
+    fields = chars[4 * groups : -1].reshape(k, _FIELD, b)
+    fields_keep = keep[4 * groups : -1].reshape(k, _FIELD, b)
+    fields[:, 0], fields[:, 1] = ord(","), ord("-")
+    fields[:, 2:24] = text.reshape(22, k, b).transpose(1, 0, 2)
+    fields_keep[:, 0] = True
+    fields_keep[:, 1] = np.signbit(v).reshape(k, b)
+    fields_keep[:, 2:24] = shown.reshape(22, k, b).transpose(1, 0, 2)
+    for e in np.flatnonzero(fallback):
+        out = format(v[e], ".17g").encode()
+        fields[e // b, 1 : 1 + len(out), e % b] = np.frombuffer(out, np.uint8)
+        fields_keep[e // b, 1:, e % b] = np.arange(_FIELD - 1) < len(out)
+    chars[-1], keep[-1] = ord("\n"), True
+    return chars.T[keep.T].tobytes()
 
 
 def compute_vinv(a: np.ndarray) -> np.ndarray:

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import expit
 
-from splotlearn.data import Dataset
+from splotlearn.data import Dataset, attach_sweights, generate_synthetic
+from splotlearn.density import canonical_mixture
 from splotlearn.losses import (
     LossInputError,
     _sigmoid,
@@ -294,3 +295,61 @@ def test_loss_columns_name_the_method_and_its_missing_columns(method):
     with pytest.raises(LossInputError) as exc:
         _loss_columns(method, bare)
     assert str(exc.value) == f"{method} requires dataset columns {LOSS_COLUMNS[method]}"
+
+
+# ---------------------------------------------------------------------------
+# The paper's consistency claims as exact identities: in a cell of x, the best
+# constant logit of constrained MSE and of weighted CE reproduces the cell's
+# mean signal sWeight, which estimates p(signal | x) when m and x are
+# independent within each species.
+
+
+@pytest.fixture(scope="module")
+def x0_cells():
+    """40 000 synthetic events with sWeights, and the event indices of 10 equal-count cells on x0."""
+    ds = generate_synthetic(40_000, 0.3, 3, n_features=1)
+    weighted, _ = attach_sweights(ds, canonical_mixture(0.3 * ds.n, 0.7 * ds.n))
+    x0 = weighted.X[:, 0]
+    order = np.argsort(x0, kind="stable")
+    return weighted, np.array_split(order, 10)
+
+
+def constant_logit_root(summed_grad):
+    """Bisection on z for the sign change of an increasing summed gradient, to adjacent doubles."""
+    lo, hi = -40.0, 40.0
+    assert summed_grad(lo) < 0 < summed_grad(hi)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (lo, mid) if summed_grad(mid) > 0 else (mid, hi)
+    return mid
+
+
+@pytest.mark.parametrize("method", ["constrained_mse", "weighted_ce"])
+def test_the_best_constant_logit_of_a_cell_is_its_mean_signal_sweight(x0_cells, method):
+    weighted, cells = x0_cells
+    for cell in cells:
+        ws, wb = weighted.sweights[cell, 0], weighted.sweights[cell, 1]
+        mean = ws.mean()
+        assert 0 < mean < 1
+        if method == "constrained_mse":
+            z = constant_logit_root(lambda z: constrained_mse(np.full(cell.size, z), ws).grad.sum())
+        else:
+            assert ws.sum() > 0 and wb.sum() > 0
+            z = constant_logit_root(lambda z: weighted_ce(np.full(cell.size, z), ws, wb).grad.sum())
+        assert abs(_sigmoid(z) - mean) <= 1e-12
+
+
+def test_weighted_ce_keeps_falling_in_a_cell_with_negative_signal_weight(x0_cells):
+    # the mass sideband of the lowest x0 cell: its events carry mostly negative signal weights
+    weighted, cells = x0_cells
+    cell = cells[0][weighted.m[cells[0]] > 6.5]
+    ws, wb = weighted.sweights[cell, 0], weighted.sweights[cell, 1]
+    assert ws.sum() < 0 < wb.sum()
+
+    def loss(z):
+        return weighted_ce(np.full(cell.size, z), ws, wb)
+
+    # no stationary point: the summed gradient is positive at every logit
+    assert all(loss(z).grad.sum() > 0 for z in np.linspace(-50.0, 50.0, 201))
+    falls = [loss(z).loss for z in (0.0, -10.0, -1e2, -1e3, -1e4)]
+    assert all(b < a for a, b in zip(falls, falls[1:]))
+    assert falls[-1] == pytest.approx(1e4 * ws.sum(), rel=1e-3)

@@ -12,6 +12,7 @@ from splotlearn.density import (
 )
 from splotlearn.splot import (
     _CSV_BLOCK_ROWS,
+    _csv_rows,
     SplotError,
     SWeightTable,
     YieldFitError,
@@ -333,6 +334,63 @@ def test_sweights_csv_export_of_no_events(tmp_path):
     table = weights_only_table(np.zeros((0, 2)), ["signal", "background"], np.array([], dtype=int))
     table.to_csv(tmp_path / "sweights.csv")
     assert (tmp_path / "sweights.csv").read_text() == "event_index,sweight_signal,sweight_background\n"
+
+
+@pytest.mark.parametrize("n", [1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS + 1])
+def test_sweights_csv_export_of_fallback_zero_and_flagged_columns(tmp_path, n):
+    # a column written wholly by the per-value fallback, a species fitted to 0,
+    # and zero rows on both sides of every block boundary
+    rng = np.random.default_rng(n)
+    weights = np.column_stack([np.full(n, 1e-300), np.zeros(n), rng.standard_normal(n)])
+    weights[1::2, 0] = -1e-300
+    flagged = np.array([e for b in range(_CSV_BLOCK_ROWS, n + 1, _CSV_BLOCK_ROWS) for e in (b - 1, b) if e < n], dtype=int)
+    weights[flagged] = 0.0
+    table = weights_only_table(weights, ["a", "b", "c"], flagged)
+    table.to_csv(tmp_path / "sweights.csv")
+    assert (tmp_path / "sweights.csv").read_bytes() == reference_csv(table).encode()
+
+
+def csv_fields(values):
+    """The text the CSV writer gives each value, one event per value."""
+    rows = _csv_rows(np.arange(len(values)), np.asarray(values, dtype=float).reshape(-1, 1)).decode()
+    return [row.split(",")[1] for row in rows.splitlines()]
+
+
+def one_ulp(x, direction):
+    """``x`` moved one ulp down (-1) or up (1), or ``x`` itself (0)."""
+    return float(np.nextafter(x, direction * np.inf)) if direction else x
+
+
+# %g's fixed-notation range, where the writer formats values itself
+FIXED = st.floats(1e-4, 1e15, exclude_max=True)
+# exact ties of the 17th digit: 14 or 15 integer digits and a fraction in sixteenths
+TIES = st.builds(lambda k, j: k + j / 16, st.integers(2**46, 2**50 - 1), st.integers(0, 15))
+NEAR_POWERS_OF_TEN = st.builds(one_ulp, st.integers(-6, 17).map(lambda n: float(f"1e{n}")), st.sampled_from([-1, 0, 1]))
+# decimal literals just below a power of ten, whose 17th digit would carry
+ROUND_UP_TO_POWERS_OF_TEN = st.sampled_from([9.9999999999999999e-5, 0.99999999999999999, 999999999999999.9, 9.999999999999999e14])
+FIELD_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), FIXED, TIES, NEAR_POWERS_OF_TEN, ROUND_UP_TO_POWERS_OF_TEN
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.builds(lambda x, negate: -x if negate else x, FIELD_VALUES, st.booleans()), min_size=1, max_size=50))
+def test_csv_fields_are_format_17g(values):
+    assert csv_fields(values) == [format(x, ".17g") for x in values]
+
+
+def test_csv_fields_of_bit_patterns_and_of_the_fixed_range_are_format_17g():
+    rng = np.random.default_rng(11)
+    patterns = rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64)
+    fixed = rng.choice([-1.0, 1.0], 100_000) * 10.0 ** rng.uniform(-4, 15, 100_000)
+    for values in (patterns, fixed):
+        assert csv_fields(values) == [format(x, ".17g") for x in values]
+
+
+def test_csv_fields_of_zeros_subnormals_and_non_finite_values():
+    values = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, np.inf, -np.inf, np.nan, 1e-4, 1e15, 70368744177664.0625]
+    assert csv_fields(values) == [format(x, ".17g") for x in values]
+    assert csv_fields(values[:2] + values[-1:]) == ["0", "-0", "70368744177664.062"]
 
 
 # ---------------------------------------------------------------------------
