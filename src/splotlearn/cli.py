@@ -305,13 +305,13 @@ def _check_scorable(what: str, test: Dataset, n_train: int | None = None):
             raise DataError(f"{counts} (signal {n_signal}, background {test.n - n_signal}); the test AUC needs both classes")
 
 
-def _train_method(cfg: ExperimentConfig, method: str, train_ds: Dataset, test_ds: Dataset, seed: int):
+def _train_method(cfg: ExperimentConfig, method: str, train_ds: Dataset, test_ds: Dataset, seed: int, *, curve: bool = True):
     """One training arm from the config; returns the model, its report and the initial-parameter checksum."""
     model = Mlp(cfg.mlp_config(train_ds.X.shape[1], seed))
     init_sha = hashlib.sha256(model.theta.tobytes()).hexdigest()
     report = train(
         method, model, train_ds, test_ds, cfg.adam,
-        eval_every=cfg.eval_every, cwola_center=cfg.cwola_center, cwola_fraction=cfg.cwola_fraction,
+        eval_every=cfg.eval_every, cwola_center=cfg.cwola_center, cwola_fraction=cfg.cwola_fraction, curve=curve,
     )
     return model, report, init_sha
 
@@ -429,7 +429,7 @@ def _run_training_stage(cfg: ExperimentConfig, out_dir: Path, seed: int, methods
 
 def _sweep_cell(cfg: ExperimentConfig, method: str, seed: int, train_ds: Dataset, test_ds: Dataset):
     """Train one sweep cell on its weighted train and test sets; returns the final test AUC or None on divergence."""
-    _model, report, _sha = _train_method(cfg, method, train_ds, test_ds, seed)
+    _model, report, _sha = _train_method(cfg, method, train_ds, test_ds, seed, curve=False)
     final_auc = report.test_auc[-1] if len(report.test_auc) else np.nan
     return None if report.aborted or not np.isfinite(final_auc) else float(final_auc)
 

@@ -22,7 +22,7 @@ MAGIC = b"SPML"
 FORMAT_VERSION = 1
 
 # Rows per block of Mlp.forward; the last block also takes the remainder.
-FORWARD_BLOCK_ROWS = 4096
+FORWARD_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -113,6 +113,8 @@ class Mlp:
         self.theta = np.zeros(self.n_params)
         self._weights, self._biases = self._views(self.theta)
         self._init_params()
+        # step buffers of _forward_cached and backward, and the views of backward's last ``out``
+        self._step = self._back = self._grad = self._grad_views = None
 
     def _views(self, flat: np.ndarray):
         weights, biases = [], []
@@ -132,6 +134,10 @@ class Mlp:
             w[...] = rng.uniform(-limit, limit, size=w.shape)
             b[...] = 0.0
 
+    def _per_layer(self, n: int, dtype=float) -> list[np.ndarray]:
+        """One uninitialized ``(n, width)`` buffer per hidden layer."""
+        return [np.empty((n, width), dtype) for width in self.dims[1:-1]]
+
     def _check_input(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.cfg.input_dim:
@@ -143,11 +149,15 @@ class Mlp:
 
         Rows go through in blocks of ``FORWARD_BLOCK_ROWS`` to ``2 * FORWARD_BLOCK_ROWS - 1``
         rows (fewer only when ``x`` has fewer), in place on two scratch buffers,
-        keeping no activations.  The remainder joins the last block because a
-        very short block can take another BLAS kernel with other rounding.
-        Bit-equality with the unblocked forward was checked with OpenBLAS on
-        nets with fan-ins up to 256; with a fan-in of 300 a logit moved by a
-        few 1e-16.
+        keeping no activations.  On the default net a 1024-row block's two
+        buffers take 1 MiB and stay in a 2 MiB L2 cache; over 150 000 rows,
+        4096-row blocks took 14-32% longer on the default and criterion-6
+        nets (one BLAS thread).  The remainder joins the last block
+        because a very short block can take another BLAS kernel with other
+        rounding.  Bit-equality with the unblocked forward is tested with
+        OpenBLAS on the default net, the criterion-6 net and 7->256->256->8->1
+        (fan-in 256) at row counts on both sides of the block boundaries; with
+        a fan-in of 300 a logit moved by a few 1e-16.
         """
         x = self._check_input(x)
         n = x.shape[0]
@@ -172,40 +182,62 @@ class Mlp:
         return z
 
     def _forward_cached(self, x: np.ndarray):
+        """Logits of ``x`` and the cache ``backward`` reads, in step buffers reused across calls.
+
+        The buffers are allocated once per row count.  ``z`` and the cache
+        are valid only until the next call of ``_forward_cached``.
+        """
         x = self._check_input(x)
+        n = x.shape[0]
+        if self._step is None or self._step["rows"] != n:
+            self._step = {"rows": n, "pre": self._per_layer(n), "act": self._per_layer(n), "z": np.empty(n)}
         slope = self.cfg.leaky_slope
-        activations = [x]
-        pre_acts = []
-        h = x
-        for w, b in zip(self._weights[:-1], self._biases[:-1]):
-            pre = h @ w + b
-            pre_acts.append(pre)
-            h = np.maximum(pre, slope * pre)  # leaky ReLU, exact for 0 < slope < 1
-            activations.append(h)
-        z = (h @ self._weights[-1] + self._biases[-1]).ravel()
+        pre_acts, activations = self._step["pre"], [x, *self._step["act"]]
+        for layer, (w, b) in enumerate(zip(self._weights[:-1], self._biases[:-1])):
+            pre, h = pre_acts[layer], activations[layer + 1]
+            np.matmul(activations[layer], w, out=pre)
+            pre += b
+            np.multiply(pre, slope, out=h)
+            np.maximum(pre, h, out=h)  # leaky ReLU, exact for 0 < slope < 1
+        z = self._step["z"]
+        np.matmul(activations[-1], self._weights[-1], out=z.reshape(n, 1))
+        z += self._biases[-1]
         return z, (activations, pre_acts)
 
     def backward(self, cache, dz: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Gradient of ``sum_i dz_i * z_i`` w.r.t. the flat parameter vector.
 
         ``out`` may supply a reusable flat buffer; every entry is overwritten.
+        The per-layer buffers, allocated once per row count, and the views of
+        the last ``out`` are kept for the next call.
         """
         activations, pre_acts = cache
+        n = activations[0].shape[0]
         slope = self.cfg.leaky_slope
         grad = np.empty(self.n_params) if out is None else out
-        gw, gb = self._views(grad)
+        if self._grad is not grad:
+            self._grad, self._grad_views = grad, self._views(grad)
+        gw, gb = self._grad_views
+        if self._back is None or self._back["rows"] != n:
+            self._back = {
+                "rows": n, "mask": self._per_layer(n, bool), "dpre": self._per_layer(n), "da": self._per_layer(n)
+            }
+        masks, dpres, das = self._back["mask"], self._back["dpre"], self._back["da"]
 
         d = dz[:, None]
-        gw[-1][...] = activations[-1].T @ d
-        gb[-1][...] = d.sum(axis=0)
-        da = d @ self._weights[-1].T
+        np.matmul(activations[-1].T, d, out=gw[-1])
+        np.add.reduce(d, axis=0, out=gb[-1])
+        np.matmul(d, self._weights[-1].T, out=das[-1])
         for layer in range(len(self._shapes) - 2, -1, -1):
             # max(pre > 0, slope) is exactly 1.0 or slope, and faster than np.where
-            dpre = da * np.maximum(pre_acts[layer] > 0.0, slope)
+            dpre = dpres[layer]
+            np.greater(pre_acts[layer], 0.0, out=masks[layer])
+            np.maximum(masks[layer], slope, out=dpre)
+            np.multiply(das[layer], dpre, out=dpre)
             np.matmul(activations[layer].T, dpre, out=gw[layer])
-            np.sum(dpre, axis=0, out=gb[layer])
+            np.add.reduce(dpre, axis=0, out=gb[layer])
             if layer > 0:
-                da = dpre @ self._weights[layer].T
+                np.matmul(dpre, self._weights[layer].T, out=das[layer - 1])
         return grad
 
     def save(self, path) -> None:
@@ -303,7 +335,7 @@ def _loss_columns(method: str, ds) -> tuple[np.ndarray, ...]:
 
 def train(
     method: str, model: Mlp, train_ds, test_ds, opt: AdamConfig, *, eval_every: int, cwola_center: float,
-    cwola_fraction: float,
+    cwola_fraction: float, curve: bool = True,
 ) -> TrainReport:
     """Train one method's arm with seeded mini-batch Adam and record the metric trace.
 
@@ -319,9 +351,14 @@ def train(
     recorded train/test losses are per-event means plus the L2 term when
     ``model.cfg.l2_coefficient > 0``.
 
+    With ``curve`` off, the trace is one row at the last step holding only
+    the test AUC, with NaN losses: no other step is evaluated and the train
+    set never goes through a full forward.  The parameters take the same
+    bits either way.
+
     On a non-finite loss or gradient the run stops, and the returned report
     is marked ``aborted`` with the step and the reason, keeping the trace
-    collected so far as a divergence record.
+    collected so far as a divergence record (none without ``curve``).
     """
     if eval_every < 1:
         raise ValueError(f"eval_every must be >= 1, got {eval_every}")
@@ -351,24 +388,29 @@ def train(
     t0 = time.perf_counter()
 
     def record(step: int) -> None:
-        z = model.forward(x_train)
-        tr = loss_fn(z, *cols).loss / n
-        if l2 > 0:
-            tr += l2 * float(model.theta @ model.theta)
+        tr = te = np.nan
         zt = model.forward(x_test)
-        te = np.nan
-        if test_cols is not None:
-            te = loss_fn(zt, *test_cols).loss / x_test.shape[0]
+        if curve:
+            tr = loss_fn(model.forward(x_train), *cols).loss / n
             if l2 > 0:
-                te += l2 * float(model.theta @ model.theta)
+                tr += l2 * float(model.theta @ model.theta)
+            if test_cols is not None:
+                te = loss_fn(zt, *test_cols).loss / x_test.shape[0]
+                if l2 > 0:
+                    te += l2 * float(model.theta @ model.theta)
         auc = roc_auc(zt, auc_labels).auc if auc_labels is not None else np.nan
         trace.append((step, tr, te, auc, time.perf_counter() - t0))
 
-    record(0)
+    if curve or opt.total_steps == 0:
+        record(0)
     abort_step = abort_reason = None
     order = np.array([], dtype=int)
     cursor = 0
+    # every batch has min(n, batch_size) rows: an epoch's short tail is never drawn
+    rows = min(n, opt.batch_size)
+    x_batch = np.empty((rows, x_train.shape[1]))
     grad_buffer = np.empty(model.n_params)
+    l2_grad = np.empty(model.n_params)
     # a diverging arm overflows; the finiteness checks below record where and why
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, opt.total_steps + 1):
@@ -378,24 +420,26 @@ def train(
             idx = order[cursor : cursor + opt.batch_size]
             cursor += opt.batch_size
 
-            z, cache = model._forward_cached(x_train[idx])
+            # indices are in range, so "clip" only skips take's defensive copy; a loss column
+            # may be a strided sweights view, which take would copy whole, so it is indexed
+            z, cache = model._forward_cached(x_train.take(idx, axis=0, out=x_batch, mode="clip"))
             le = loss_fn(z, *(c[idx] for c in cols))
             if not np.isfinite(le.loss) or not np.all(np.isfinite(le.grad)):
                 abort_step, abort_reason = step, "non-finite batch loss or gradient"
                 break
             grad = model.backward(cache, le.grad, out=grad_buffer)
-            grad /= len(idx)
+            grad /= rows
             if l2 > 0:
-                grad += 2.0 * l2 * model.theta
+                grad += np.multiply(model.theta, 2.0 * l2, out=l2_grad)
             if not np.all(np.isfinite(grad)):
                 abort_step, abort_reason = step, "non-finite parameter gradient"
                 break
             adam.step(model.theta, grad)
 
-            if step % eval_every == 0 or step == opt.total_steps:
+            if (curve and step % eval_every == 0) or step == opt.total_steps:
                 record(step)
 
-    steps, train_loss, test_loss, test_auc, wall_time = (np.asarray(col) for col in zip(*trace))
+    table = np.array(trace, dtype=float).reshape(-1, 5)
     return TrainReport(
-        method, steps, train_loss, test_loss, test_auc, wall_time, abort_step is not None, abort_step, abort_reason
+        method, table[:, 0].astype(int), *table[:, 1:].T, abort_step is not None, abort_step, abort_reason
     )

@@ -212,11 +212,11 @@ def attach(ds):
     return out
 
 
-def train_arm(method, train_ds, test_ds, *, hidden, steps, eval_every, seed, n_features, l2=0.0):
+def train_arm(method, train_ds, test_ds, *, hidden, steps, eval_every, seed, n_features, l2=0.0, curve=True):
     model = Mlp(MlpConfig(input_dim=n_features, hidden=hidden, seed=seed, l2_coefficient=l2))
     return sl.train(
         method, model, train_ds, test_ds, AdamConfig(total_steps=steps),
-        eval_every=eval_every, cwola_center=4.0, cwola_fraction=0.5,
+        eval_every=eval_every, cwola_center=4.0, cwola_fraction=0.5, curve=curve,
     )
 
 
@@ -269,7 +269,7 @@ def ordering_runs():
             rep = train_arm(
                 method, tr, te,
                 hidden=BENCH_HIDDEN, steps=BENCH_STEPS, eval_every=BENCH_EVAL_EVERY,
-                seed=seed, n_features=5,
+                seed=seed, n_features=5, curve=False,  # only the final AUC is read
             )
             results[method].append(rep.test_auc[-1])
     return {m: np.asarray(v) for m, v in results.items()}
@@ -301,7 +301,7 @@ def test_criterion_8_size_sweep_trend(tmp_path):
             rep = train_arm(
                 method, tr, test_sets[seed],
                 hidden=BENCH_HIDDEN, steps=BENCH_STEPS, eval_every=BENCH_EVAL_EVERY,
-                seed=seed, n_features=5,
+                seed=seed, n_features=5, curve=False,  # only the final AUC is read
             )
             return None if rep.aborted else float(rep.test_auc[-1])
 

@@ -544,6 +544,32 @@ def test_sweep_pool_has_no_more_workers_than_cells(tmp_path, monkeypatch):
         assert (tmp_path / "64" / name).read_bytes() == (tmp_path / "1" / name).read_bytes(), name
 
 
+def sweep_cell_inputs(tmp_path, **training):
+    """A parsed sweep config over every method and seed 0's weighted (train, test) sets at size 300."""
+    raw = base_config(tmp_path / "out", n=600, methods=list(METHODS))
+    raw["training"].update(training)
+    raw["sizes"], raw["sweep"] = [300], {"test_n": 400}
+    cfg = parse_config(raw)
+    trains, (test_ds, _), _ = cli._weighted_inputs(cfg, 0, cfg.sizes)
+    return cfg, trains[300][0], test_ds
+
+
+@pytest.mark.parametrize("steps", [250, 0])
+def test_a_sweep_cell_returns_the_final_auc_of_the_full_learning_curve(tmp_path, steps):
+    cfg, train_ds, test_ds = sweep_cell_inputs(tmp_path, total_steps=steps)
+    for method in METHODS:
+        _model, report, _sha = cli._train_method(cfg, method, train_ds, test_ds, 0)
+        assert report.steps[-1] == steps and not report.aborted
+        assert np.float64(cli._sweep_cell(cfg, method, 0, train_ds, test_ds)).tobytes() == report.test_auc[-1].tobytes()
+
+
+def test_an_aborted_sweep_cell_returns_none(tmp_path):
+    cfg, train_ds, test_ds = sweep_cell_inputs(tmp_path, learning_rate=1e200)
+    _model, report, _sha = cli._train_method(cfg, "weighted_ce", train_ds, test_ds, 0)
+    assert report.aborted
+    assert cli._sweep_cell(cfg, "weighted_ce", 0, train_ds, test_ds) is None
+
+
 @pytest.fixture(scope="module")
 def every_method_runs(tmp_path_factory):
     """``demo-divergence`` on a config with sizes, and ``run`` and ``sweep`` on it with every method."""

@@ -13,6 +13,7 @@ from splotlearn.data import Dataset, attach_sweights, generate_synthetic
 from splotlearn.density import canonical_mixture
 from splotlearn.losses import (
     LossInputError,
+    _exact_likelihood,
     _sigmoid,
     constrained_mse,
     exact_likelihood,
@@ -20,6 +21,7 @@ from splotlearn.losses import (
     weighted_ce,
 )
 from splotlearn.model import METHODS, _loss_columns
+from splotlearn.splot import fit_yields
 
 FD_H = 1e-6
 FD_RTOL = 1e-5
@@ -336,6 +338,19 @@ def test_the_best_constant_logit_of_a_cell_is_its_mean_signal_sweight(x0_cells, 
             assert ws.sum() > 0 and wb.sum() > 0
             z = constant_logit_root(lambda z: weighted_ce(np.full(cell.size, z), ws, wb).grad.sum())
         assert abs(_sigmoid(z) - mean) <= 1e-12
+
+
+def test_the_best_constant_logit_of_the_exact_likelihood_in_a_cell_is_its_fitted_signal_fraction(x0_cells):
+    # a constant logit mixes the cell's two mass densities with one fraction, whose
+    # maximum likelihood is the two-species yield fit on the cell's masses
+    weighted, cells = x0_cells
+    shapes = canonical_mixture(1.0, 1.0).components
+    for cell in cells:
+        ps, pb = weighted.ps[cell], weighted.pb[cell]
+        z = constant_logit_root(lambda z: _exact_likelihood(np.full(cell.size, z), ps, pb).grad.sum())
+        yields = fit_yields(weighted.m[cell], shapes, [0.5 * cell.size, 0.5 * cell.size], total=cell.size)
+        assert 0 < yields[0] < cell.size
+        assert abs(_sigmoid(z) - yields[0] / cell.size) <= 1e-12
 
 
 def test_weighted_ce_keeps_falling_in_a_cell_with_negative_signal_weight(x0_cells):

@@ -81,23 +81,31 @@ def test_forward_dimension_mismatch():
         tiny_model(input_dim=3).forward(np.zeros((4, 2)))
 
 
-@pytest.mark.parametrize("hidden, input_dim", [((64, 32, 16), 5), ((128, 64, 32), 10)])  # default, criterion 6
+B = FORWARD_BLOCK_ROWS
+ROW_COUNTS = [1, 2, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 4097, 8199, 20001, 49999, 50000, 150000, 150001, 150007]
+
+
+# the default net, the criterion-6 net and the widest net the forward docstring cites
+@pytest.mark.parametrize("hidden, input_dim", [((64, 32, 16), 5), ((128, 64, 32), 10), ((256, 256, 8), 7)])
 def test_blocked_forward_matches_the_unblocked_forward_bitwise(monkeypatch, hidden, input_dim):
+    # the widest net's cached activations take 8.3 kB a row, so its row counts stop at 20 001
+    row_counts = ROW_COUNTS if max(hidden) <= 128 else ROW_COUNTS[:8] + [5 * B + 3, 20001]
     model = Mlp(MlpConfig(input_dim=input_dim, hidden=hidden, seed=4))
     rows = []
     matmul = np.matmul
-    monkeypatch.setattr(np, "matmul", lambda a, *rest, **kw: rows.append(a.shape[0]) or matmul(a, *rest, **kw))
     rng = np.random.default_rng(8)
-    for n in [1, 2, 4095, 4096, 4097, 4098, 4103, 8193, 8199, 20001, 49999, 50000, 150000, 150001, 150007]:
+    for n in row_counts:
         x = rng.standard_normal((n, input_dim))
         rows.clear()
+        monkeypatch.setattr(np, "matmul", lambda a, *rest, **kw: rows.append(a.shape[0]) or matmul(a, *rest, **kw))
         z = model.forward(x)
+        monkeypatch.setattr(np, "matmul", matmul)
         assert z.tobytes() == model._forward_cached(x)[0].tobytes(), n
         layers = len(model.dims) - 1
         blocks = rows[::layers]
         assert rows == [r for r in blocks for _ in range(layers)]
         assert sum(blocks) == n
-        assert all(min(n, FORWARD_BLOCK_ROWS) <= r < 2 * FORWARD_BLOCK_ROWS or r == n for r in blocks), (n, blocks)
+        assert all(min(n, B) <= r < 2 * B or r == n for r in blocks), (n, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +328,154 @@ def test_l2_regularizer_shrinks_parameters():
     train("true_labels", m_plain, ds, ds, opt, eval_every=1500, **CWOLA)
     train("true_labels", m_reg, ds, ds, opt, eval_every=1500, **CWOLA)
     assert m_reg.theta @ m_reg.theta < m_plain.theta @ m_plain.theta
+
+
+# ---------------------------------------------------------------------------
+# the step buffers against the allocating step they replaced
+
+
+def allocating_forward_cached(self, x):
+    x = self._check_input(x)
+    slope = self.cfg.leaky_slope
+    activations = [x]
+    pre_acts = []
+    h = x
+    for w, b in zip(self._weights[:-1], self._biases[:-1]):
+        pre = h @ w + b
+        pre_acts.append(pre)
+        h = np.maximum(pre, slope * pre)
+        activations.append(h)
+    z = (h @ self._weights[-1] + self._biases[-1]).ravel()
+    return z, (activations, pre_acts)
+
+
+def allocating_backward(self, cache, dz, out=None):
+    activations, pre_acts = cache
+    slope = self.cfg.leaky_slope
+    grad = np.empty(self.n_params) if out is None else out
+    gw, gb = self._views(grad)
+    d = dz[:, None]
+    gw[-1][...] = activations[-1].T @ d
+    gb[-1][...] = d.sum(axis=0)
+    da = d @ self._weights[-1].T
+    for layer in range(len(self._shapes) - 2, -1, -1):
+        dpre = da * np.maximum(pre_acts[layer] > 0.0, slope)
+        np.matmul(activations[layer].T, dpre, out=gw[layer])
+        np.sum(dpre, axis=0, out=gb[layer])
+        if layer > 0:
+            da = dpre @ self._weights[layer].T
+    return grad
+
+
+def weighted_synthetic(n, n_features, seed):
+    ds = sl.generate_synthetic(n, 0.5, seed, n_features=n_features)
+    return sl.attach_sweights(ds, sl.canonical_mixture(0.5 * ds.n, 0.5 * ds.n))[0]
+
+
+def train_both_ways(monkeypatch, tmp_path, method, hidden, input_dim, l2, train_ds, test_ds, opt):
+    """Train one arm with the step buffers, then with the allocating step: (theta bytes, report bytes, report) of each."""
+    runs = []
+    for step in ("buffered", "allocating"):
+        if step == "allocating":
+            monkeypatch.setattr(Mlp, "_forward_cached", allocating_forward_cached)
+            monkeypatch.setattr(Mlp, "backward", allocating_backward)
+        model = Mlp(MlpConfig(input_dim=input_dim, hidden=hidden, seed=6, l2_coefficient=l2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = train(method, model, train_ds, test_ds, opt, eval_every=50, **CWOLA)
+        report.to_csv(tmp_path / f"{step}.csv")
+        runs.append((model.theta.tobytes(), (tmp_path / f"{step}.csv").read_bytes(), report))
+    monkeypatch.undo()
+    return runs
+
+
+@pytest.mark.parametrize("l2", [0.0, 1e-3])
+@pytest.mark.parametrize("hidden, input_dim", [((64, 32, 16), 5), ((128, 64, 32), 10)])  # default, criterion 6
+@pytest.mark.parametrize("method", model_module.METHODS)
+def test_the_step_buffers_train_the_bits_of_the_allocating_step(monkeypatch, tmp_path, method, hidden, input_dim, l2):
+    train_ds, test_ds = weighted_synthetic(1500, input_dim, 21), weighted_synthetic(600, input_dim, 22)
+    buffered, allocating = train_both_ways(
+        monkeypatch, tmp_path, method, hidden, input_dim, l2, train_ds, test_ds, AdamConfig(total_steps=150)
+    )
+    assert buffered[:2] == allocating[:2]
+    assert not buffered[2].aborted
+
+
+def test_the_step_buffers_train_the_bits_of_the_allocating_step_on_a_set_smaller_than_a_batch(monkeypatch, tmp_path):
+    train_ds, test_ds = weighted_synthetic(90, 5, 23), weighted_synthetic(300, 5, 24)
+    buffered, allocating = train_both_ways(
+        monkeypatch, tmp_path, "exact_likelihood", (64, 32, 16), 5, 1e-3, train_ds, test_ds,
+        AdamConfig(batch_size=128, total_steps=120),
+    )
+    assert buffered[:2] == allocating[:2]
+
+
+def test_the_step_buffers_abort_where_the_allocating_step_aborts(monkeypatch, tmp_path):
+    train_ds, test_ds = weighted_synthetic(600, 5, 25), weighted_synthetic(300, 5, 26)
+    buffered, allocating = train_both_ways(
+        monkeypatch, tmp_path, "weighted_ce", (64, 32, 16), 5, 0.0, train_ds, test_ds,
+        AdamConfig(learning_rate=1e200, total_steps=100),
+    )
+    assert buffered[:2] == allocating[:2]
+    assert buffered[2].aborted and allocating[2].aborted
+    assert (buffered[2].abort_step, buffered[2].abort_reason) == (allocating[2].abort_step, allocating[2].abort_reason)
+
+
+def test_the_step_buffers_follow_the_row_count():
+    # alternating row counts reallocate the buffers; each step keeps the allocating step's bits
+    model = Mlp(MlpConfig(input_dim=5, seed=2))
+    rng = np.random.default_rng(9)
+    for n in (128, 37, 128, 1):
+        x, dz = rng.standard_normal((n, 5)), rng.standard_normal(n)
+        z, cache = model._forward_cached(x)
+        z_ref, cache_ref = allocating_forward_cached(model, x)
+        assert z.tobytes() == z_ref.tobytes(), n
+        grad = model.backward(cache, dz, out=np.empty(model.n_params))
+        assert grad.tobytes() == allocating_backward(model, cache_ref, dz).tobytes(), n
+
+
+# ---------------------------------------------------------------------------
+# an arm that scores only its final AUC
+
+
+@pytest.mark.parametrize("method", model_module.METHODS)
+def test_an_arm_without_a_curve_scores_the_final_auc_of_the_arm_with_one(method):
+    train_ds, test_ds = weighted_synthetic(800, 5, 27), weighted_synthetic(400, 5, 28)
+    reports, thetas = [], []
+    for curve in (True, False):
+        model = Mlp(MlpConfig(input_dim=5, hidden=(8, 4), seed=3))
+        reports.append(train(method, model, train_ds, test_ds, AdamConfig(total_steps=130), eval_every=50,
+                             curve=curve, **CWOLA))
+        thetas.append(model.theta.tobytes())
+    with_curve, without = reports
+    assert thetas[0] == thetas[1]
+    assert with_curve.steps.tolist() == [0, 50, 100, 130]
+    assert without.steps.tolist() == [130]
+    assert without.test_auc.tobytes() == with_curve.test_auc[-1:].tobytes()
+    assert np.isnan(without.train_loss).all() and np.isnan(without.test_loss).all()
+
+
+def test_an_arm_without_a_curve_or_steps_scores_the_step_0_auc():
+    train_ds, test_ds = weighted_synthetic(300, 5, 29), weighted_synthetic(300, 5, 30)
+    reports = [
+        train("true_labels", Mlp(MlpConfig(input_dim=5, seed=1)), train_ds, test_ds, AdamConfig(total_steps=0),
+              eval_every=50, curve=curve, **CWOLA)
+        for curve in (True, False)
+    ]
+    assert reports[0].steps.tolist() == reports[1].steps.tolist() == [0]
+    assert reports[1].test_auc.tobytes() == reports[0].test_auc.tobytes()
+
+
+def test_an_aborted_arm_without_a_curve_keeps_no_trace(tmp_path):
+    train_ds = weighted_synthetic(400, 5, 31)
+    model = Mlp(MlpConfig(input_dim=5, seed=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = train("weighted_ce", model, train_ds, train_ds, AdamConfig(learning_rate=1e200, total_steps=50),
+                       eval_every=10, curve=False, **CWOLA)
+    assert report.aborted and report.abort_step is not None
+    assert len(report.steps) == len(report.test_auc) == len(report.train_loss) == 0
+    assert report.steps.dtype.kind == "i"
+    report.to_csv(tmp_path / "report.csv")
+    assert (tmp_path / "report.csv").read_text() == "step,train_loss,test_loss,test_auc\n"
 
 
 # ---------------------------------------------------------------------------
