@@ -12,8 +12,15 @@ Subcommands:
                       and gets flagged, not fatal.
 * ``sweights``        compute and export the sWeight table only.
 * ``sweep``           the size sweep of ``run`` alone: final test AUC per
-                      (train size, method, seed).  ``--threads`` reaches
-                      only the sweep stage, of ``run`` or of ``sweep``.
+                      (train size, method, seed).
+
+The arms of ``run`` and ``demo-divergence`` and the cells of a sweep are
+independent jobs.  ``--threads K`` trains them in up to K worker processes
+(default: the CPUs this process may use), which receive the weighted
+datasets once each; ``--threads 1`` trains them in this process.  Every
+artifact is the same whatever K is.  The program does not pin OpenBLAS, so
+set ``OPENBLAS_NUM_THREADS=1`` to keep the workers from oversubscribing the
+cores.
 
 Configs are JSON; unknown keys are rejected with their path.  Exit codes:
 0 ok, 2 config error, 3 data error, 4 numerical failure outside the expected
@@ -27,6 +34,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -395,7 +403,7 @@ def _weighted_inputs(cfg: ExperimentConfig, seed: int, sizes: list[int] | None =
     return trains, attach_sweights(test_raw, cfg.mixture(test_raw.n)), rows
 
 
-def _run_training_stage(cfg: ExperimentConfig, out_dir: Path, seed: int, methods: list[str]):
+def _run_training_stage(cfg: ExperimentConfig, out_dir: Path, seed: int, methods: list[str], threads: int):
     """Data -> sWeights -> one model per method; returns each arm's record and the files written."""
     trains, (test_ds, test_table), rows = _weighted_inputs(cfg, seed)
     train_ds, train_table = trains[None]
@@ -413,18 +421,68 @@ def _run_training_stage(cfg: ExperimentConfig, out_dir: Path, seed: int, methods
         **_table_summary(test_table, "_test"),
     }
 
+    arms = _map_jobs(_arm_job, methods, threads, (cfg, seed, train_ds, test_ds))
     reports, arm_info = {}, {}
-    for method in methods:
-        _model, reports[method], init_sha = _train_method(cfg, method, train_ds, test_ds, seed)
-        arm_info[method] = {"init_theta_sha256": init_sha, **_divergence_flags(reports[method])}
+    for method, (report, init_sha) in zip(methods, arms):
+        reports[method] = report
+        arm_info[method] = {"init_theta_sha256": init_sha, **_divergence_flags(report)}
         artifacts.append(out_dir / f"report_{method}.csv")
-        reports[method].to_csv(artifacts[-1])
+        report.to_csv(artifacts[-1])
 
     curves = [out_dir / "learning_curves.csv", out_dir / "learning_curves.svg"]
     evaluation.learning_curve([reports[m] for m in methods], methods, *curves)
     artifacts += [*curves, out_dir / "dataset_summary.json"]
     _json_dump(summary, artifacts[-1])
     return arm_info, artifacts
+
+
+# The inputs every job of one stage reads: the config and the weighted datasets.  A pool's initializer sets
+# them once in each worker, so that a job carries only its key.
+_stage_inputs = None
+
+
+def _set_stage_inputs(inputs):
+    global _stage_inputs
+    _stage_inputs = inputs
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: the default worker count."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _map_jobs(fn, keys: list, threads: int, inputs) -> list:
+    """``fn(key)`` for each key, in order, with ``inputs`` set as the stage's inputs.
+
+    More than one key and thread: a pool of ``min(threads, len(keys))`` worker processes, each of which receives
+    ``inputs`` once, through its initializer; the pool starts all its workers at once, so more workers than keys
+    would sit idle.  Otherwise: in this process.
+    """
+    workers = min(threads, len(keys))
+    try:
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers, initializer=_set_stage_inputs, initargs=(inputs,)) as pool:
+                return list(pool.map(fn, keys))
+        _set_stage_inputs(inputs)
+        return list(map(fn, keys))
+    finally:
+        _set_stage_inputs(None)  # this process keeps no reference to the datasets
+
+
+def _arm_job(method: str):
+    """One arm of ``run`` or ``demo-divergence`` on the stage's train and test sets: its report and initial checksum."""
+    cfg, seed, train_ds, test_ds = _stage_inputs
+    _model, report, init_sha = _train_method(cfg, method, train_ds, test_ds, seed)
+    return report, init_sha
+
+
+def _cell_job(cell: tuple[int, str, int]):
+    """The sweep cell ``(size, method, seed)`` on the stage's weighted sets."""
+    size, method, seed = cell
+    cfg, inputs = _stage_inputs
+    trains, test_ds = inputs[seed]
+    return _sweep_cell(cfg, method, seed, trains[size], test_ds)
 
 
 def _sweep_cell(cfg: ExperimentConfig, method: str, seed: int, train_ds: Dataset, test_ds: Dataset):
@@ -434,23 +492,13 @@ def _sweep_cell(cfg: ExperimentConfig, method: str, seed: int, train_ds: Dataset
     return None if report.aborted or not np.isfinite(final_auc) else float(final_auc)
 
 
-def _sweep_cell_star(args):
-    return _sweep_cell(*args)
-
-
 def _run_sweep_stage(cfg: ExperimentConfig, out_dir: Path, seeds: list[int], threads: int):
     inputs = {}
     for seed in seeds:  # the cells read only the weighted datasets, so their tables are not kept through the sweep
         trains, (test_ds, _), _ = _weighted_inputs(cfg, seed, cfg.sizes)
         inputs[seed] = {size: ds for size, (ds, _) in trains.items()}, test_ds
     cells = [(size, method, seed) for size in cfg.sizes for method in cfg.methods for seed in seeds]
-    args = [(cfg, method, seed, inputs[seed][0][size], inputs[seed][1]) for size, method, seed in cells]
-    if threads > 1:
-        # the pool starts all its workers at once, so more workers than cells would sit idle
-        with ProcessPoolExecutor(max_workers=min(threads, len(cells))) as pool:
-            results = list(pool.map(_sweep_cell_star, args))
-    else:
-        results = list(map(_sweep_cell_star, args))
+    results = _map_jobs(_cell_job, cells, threads, (cfg, inputs))
     lookup = dict(zip(cells, results))
 
     paths = [out_dir / "sweep.csv", out_dir / "sweep_summary.csv", out_dir / "sweep.svg"]
@@ -466,7 +514,7 @@ def _experiment(command: str, cfg: ExperimentConfig, out_dir: Path, threads: int
     """A command that trains: ``arms(cfg)`` on the first seed, recorded in ``summary``, then the size sweep if ``sweeps``."""
     seed, artifacts = cfg.seeds[0], []
     if summary is not None:
-        arm_info, artifacts = _run_training_stage(cfg, out_dir, seed, arms(cfg))
+        arm_info, artifacts = _run_training_stage(cfg, out_dir, seed, arms(cfg), threads)
         if command == "demo-divergence":
             shared = {info["init_theta_sha256"] for info in arm_info.values()}
             arm_info = {"shared_initial_weights": len(shared) == 1, "arms": arm_info}
@@ -523,15 +571,20 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to a JSON experiment config")
         p.add_argument("--out", default=None, help="output directory (overrides config output_dir)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed list with one seed")
-        p.add_argument("--threads", type=int, default=1, help="worker processes for independent sweep cells")
+        p.add_argument(
+            "--threads", type=int, default=None,
+            help="worker processes for the independent training arms and sweep cells (default: the CPUs this process "
+            "may use, capped at the number of jobs; 1 trains in this process)",
+        )
     args = parser.parse_args(argv)
 
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.seeds = [_walk(args.seed, CONFIG["seeds"]._replace(type=int), "--seed")]
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+        threads = _usable_cpus() if args.threads is None else args.threads
+        if threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {threads}")
         _check_command(args.command, cfg)
         out_option = "--out" if args.out is not None else "config.output_dir"
         out_dir = Path(args.out if args.out is not None else cfg.output_dir)
@@ -539,7 +592,7 @@ def main(argv=None) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"{out_option}: cannot create directory {out_dir}: {exc.strerror}") from exc
-        return _COMMANDS[args.command](cfg, out_dir, args.threads)
+        return _COMMANDS[args.command](cfg, out_dir, threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -11,6 +11,7 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -514,14 +515,17 @@ def test_sweep_threads_write_the_same_bytes(tmp_path):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
 
-def test_sweep_pool_has_no_more_workers_than_cells(tmp_path, monkeypatch):
-    workers = []
+def serial_pool(monkeypatch):
+    """Make cli's process pool a recording one that maps in this process; returns the pool sizes and the tasks."""
+    workers, tasks = [], []
 
     class SerialPool:
-        """Records the pool size and maps in this process, so no worker starts."""
+        """Records the pool size and each task, runs the initializer and maps in this process, so no worker starts."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None, initargs=()):
             workers.append(max_workers)
+            if initializer is not None:
+                initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -530,9 +534,61 @@ def test_sweep_pool_has_no_more_workers_than_cells(tmp_path, monkeypatch):
             return False
 
         def map(self, fn, *iterables):
-            return map(fn, *iterables)
+            items = list(zip(*iterables))
+            tasks.extend((fn, *item) for item in items)
+            return (fn(*item) for item in items)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    return workers, tasks
+
+
+@pytest.fixture(scope="module")
+def runs_at_every_thread_count(tmp_path_factory):
+    """``run`` with sizes and ``demo-divergence`` at ``--threads 1``, ``--threads 2`` and the default; the pool sizes."""
+    tmp_path = tmp_path_factory.mktemp("threads")
+    cfg = base_config(tmp_path / "out", n=800, steps=40, methods=["constrained_mse", "cwola", "exact_likelihood"])
+    cfg["sizes"], cfg["sweep"] = [200, 400], {"test_n": 300}
+    path = write_config(tmp_path, cfg)
+    pools = {}
+
+    class CountedPool(ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pools.setdefault(key, []).append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "ProcessPoolExecutor", CountedPool)
+        for command in ("run", "demo-divergence"):
+            for threads in (["--threads", "1"], ["--threads", "2"], []):
+                key = (command, *threads)
+                out = tmp_path / "-".join(key)
+                assert main([command, "--config", str(path), "--out", str(out), *threads]) == 0
+    return tmp_path, pools
+
+
+@pytest.mark.parametrize("command", ["run", "demo-divergence"])
+def test_threads_write_the_same_bytes(runs_at_every_thread_count, command):
+    tmp_path, _pools = runs_at_every_thread_count
+    serial = tmp_path / f"{command}---threads-1"
+    names = sorted(p.name for p in serial.iterdir())
+    assert "report_cwola.csv" in names and ("sweep.csv" in names) == (command == "run")
+    for other in (f"{command}---threads-2", command):
+        assert sorted(p.name for p in (tmp_path / other).iterdir()) == names
+        for name in names:
+            assert (serial / name).read_bytes() == (tmp_path / other / name).read_bytes(), (other, name)
+
+
+def test_every_stage_of_a_run_trains_in_the_pool(runs_at_every_thread_count):
+    _tmp_path, pools = runs_at_every_thread_count
+    assert ("run", "--threads", "1") not in pools and ("demo-divergence", "--threads", "1") not in pools
+    assert pools[("run", "--threads", "2")] == [2, 2]  # the three arms, then the six sweep cells
+    assert pools[("demo-divergence", "--threads", "2")] == [2]  # the five arms; no sweep
+    cpus = cli._usable_cpus()
+    assert pools.get(("run",), []) == ([min(cpus, 3), min(cpus, 6)] if cpus > 1 else [])
+
+
+def test_sweep_pool_has_no_more_workers_than_cells(tmp_path, monkeypatch):
+    workers, _tasks = serial_pool(monkeypatch)
     cfg = base_config(tmp_path / "out", n=600, steps=20)
     cfg["sizes"] = [200, 400]
     cfg["sweep"] = {"test_n": 400}
@@ -542,6 +598,23 @@ def test_sweep_pool_has_no_more_workers_than_cells(tmp_path, monkeypatch):
     assert workers == [2, 2]  # two cells; one thread maps without a pool
     for name in ["sweep.csv", "sweep_summary.csv", "sweep.svg", "manifest.json"]:
         assert (tmp_path / "64" / name).read_bytes() == (tmp_path / "1" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("cpus_from", ["sched_getaffinity", "cpu_count"])
+def test_the_default_pool_has_a_worker_per_usable_cpu_and_its_tasks_carry_only_keys(tmp_path, monkeypatch, cpus_from):
+    if cpus_from == "sched_getaffinity":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5, 7}, raising=False)
+    else:  # a platform without CPU affinity
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    workers, tasks = serial_pool(monkeypatch)
+    cfg = base_config(tmp_path / "out", n=600, steps=20, methods=["constrained_mse", "cwola", "true_labels"])
+    cfg["sizes"], cfg["sweep"] = [200, 400], {"test_n": 400}
+    assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
+    assert workers == [3, 4]  # three arms on 3 of the 4 CPUs, then six sweep cells on all 4
+    assert len(tasks) == 3 + 6
+    for task in tasks:  # the datasets reach each worker once, through the initializer, never with a task
+        assert len(pickle.dumps(task)) < 1000, task
 
 
 def sweep_cell_inputs(tmp_path, **training):
@@ -612,13 +685,39 @@ def csv_config(tmp_path, csv_path, **kw):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_an_error_in_a_sweep_cell_exits_with_its_code(tmp_path, capsys, threads):
-    # with integer masses no window around 4 holds half of a train set, and cwola fails inside the cell
-    csv_path = tmp_path / "events.csv"
-    csv_path.write_bytes(events_csv(generate_synthetic(600, 0.5, 7, n_features=2), mass=lambda m: repr(float(round(m)))))
-    cfg = csv_config(tmp_path, csv_path, steps=5, methods=["cwola"])
+    cfg = integer_mass_csv_config(tmp_path, steps=5, methods=["cwola"])
     cfg["sizes"] = [100, 200]
     assert main(["sweep", "--config", str(write_config(tmp_path, cfg)), "--threads", threads]) == 3
     assert "data error: requested inside fraction 0.5 unreachable" in capsys.readouterr().err
+
+
+def integer_mass_csv_config(tmp_path, **kw):
+    """A CSV config with integer masses: no window around 4 holds half of a train set, so cwola fails inside its arm."""
+    csv_path = tmp_path / "events.csv"
+    csv_path.write_bytes(events_csv(generate_synthetic(600, 0.5, 7, n_features=2), mass=lambda m: repr(float(round(m)))))
+    return csv_config(tmp_path, csv_path, **kw)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_an_error_in_a_run_arm_exits_with_its_code(tmp_path, capsys, threads):
+    cfg = integer_mass_csv_config(tmp_path, steps=5, methods=["constrained_mse", "cwola"])
+    assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--threads", threads]) == 3
+    assert "data error: requested inside fraction 0.5 unreachable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [SplotError, LossInputError])
+def test_an_error_raised_in_a_run_worker_exits_4(tmp_path, capsys, monkeypatch, error):
+    def failing_arm(*args, **kwargs):
+        raise error("planted in a run arm")
+
+    # forked workers inherit the patched arm
+    monkeypatch.setattr(cli, "_train_method", failing_arm)
+    monkeypatch.setattr(
+        cli, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork"))
+    )
+    cfg = base_config(tmp_path / "out", n=600, steps=5, methods=["constrained_mse", "cwola"])
+    assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--threads", "2"]) == 4
+    assert "numerical failure: planted in a run arm" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("error", [SplotError, LossInputError])
@@ -700,9 +799,13 @@ def package_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
-@pytest.mark.parametrize("command, threads", [("run", "1"), ("demo-divergence", "1"), ("sweights", "1"), ("sweep", "2")])
+@pytest.mark.parametrize(
+    "command, threads",
+    [("run", "1"), ("run", "2"), ("demo-divergence", "1"), ("demo-divergence", "2"), ("sweights", "1"), ("sweep", "2")],
+)
 def test_the_benchmark_tracer_runs_every_command(tmp_path, command, threads):
-    # bench/trace_cli.py wraps cli's own names, its command table and its process pool from outside
+    # bench/trace_cli.py wraps cli's own names, its command table and its process pool from outside;
+    # pooled arms count only while the workers call the names it patches
     cfg = base_config(tmp_path / "out", n=400, steps=20, methods=["constrained_mse", "cwola"])
     cfg["sizes"], cfg["sweep"] = [100, 200], {"test_n": 200}
     args = [command, "--config", str(write_config(tmp_path, cfg)), "--threads", threads]
@@ -716,6 +819,8 @@ def test_the_benchmark_tracer_runs_every_command(tmp_path, command, threads):
     if command in ("run", "sweights"):
         # the tracer times the sWeight table's writing by wrapping SWeightTable.to_csv
         assert metrics["splot.to_csv.rows_per_s"] > 0
+    arms = {"run": 2 + 2 * 2, "demo-divergence": len(METHODS), "sweights": 0, "sweep": 2 * 2}[command]
+    assert metrics["model.train.steps"] == arms * 20
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
