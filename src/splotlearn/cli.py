@@ -385,8 +385,9 @@ def _weighted_inputs(cfg: ExperimentConfig, seed: int, sizes: list[int] | None =
     else:
         ds, rows = _load_dataset(cfg, seed)
         train_pool, test_raw = split(ds, cfg.test_fraction, seed)
-        _check_scorable(f"split of {ds.n} events", test_raw, train_pool.n)
         rows["n_total"] = ds.n
+        del ds  # the split's parts hold copies of its rows
+        _check_scorable(f"split of {rows['n_total']} events", test_raw, train_pool.n)
     trains = {}
     for size in sizes or [None]:
         if size is None:

@@ -8,6 +8,7 @@ technique relies on).  One feature is deliberately uninformative.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import gzip
 import io
@@ -245,6 +246,10 @@ class IngestReport:
     rejected: list  # (line_number, reason)
 
 
+# Bytes the streaming parser reads at a time: far more than a line, far less than a large file's body
+_CHUNK_BYTES = 1 << 20
+
+
 def ingest_csv(path, schema: CsvSchema):
     """Parse a header-and-floats CSV (gzip accepted) into a Dataset.
 
@@ -253,25 +258,67 @@ def ingest_csv(path, schema: CsvSchema):
     a float, bytes that are not UTF-8, a cell over csv's field size limit)
     raises with its line number; rows with non-finite values are dropped and
     reported.  A UTF-8 byte-order mark is skipped, and a header that names a
-    column twice is rejected.
+    column twice is rejected.  The returned columns own their memory.
+
+    After a plain header line the body streams through ``np.loadtxt`` in
+    chunks (``_parse_stream``); any other file, and any body the stream
+    leaves, is read whole and parsed by ``_parse_body_strict``.
     """
     opener = gzip.open if str(path).endswith(".gz") else open
+    parsed = None
     try:
-        # each byte that is not UTF-8 becomes a lone surrogate, which no float() reads
-        handle = opener(path, "rt", encoding="utf-8-sig", errors="surrogateescape", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    try:
-        with handle as f:
-            header = next(csv.reader(f), None)
-            body = f.read()
-    except csv.Error as exc:
-        raise DataError(f"{path}: line 1: {exc}") from None
+        with opener(path, "rb") as f:
+            # a first line over csv's field size limit is cut short, so it is not plain
+            header = _plain_header(f.readline(csv.field_size_limit() + 1))
+            if header is not None:
+                feature_cols, col_idx = _columns(path, header, schema)
+                parsed = _parse_stream(f, len(header), _CHUNK_BYTES)
+        if parsed is None:
+            # each byte that is not UTF-8 becomes a lone surrogate, which no float() reads
+            with opener(path, "rt", encoding="utf-8-sig", errors="surrogateescape", newline="") as f:
+                try:
+                    header = next(csv.reader(f), None)
+                except csv.Error as exc:
+                    raise DataError(f"{path}: line 1: {exc}") from None
+                body = f.read()
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            feature_cols, col_idx = _columns(path, header, schema)
+            parsed = _parse_body_strict(path, body, len(header))
+            del body
     except (OSError, EOFError, zlib.error) as exc:
-        # a gzip stream that is truncated, corrupt or not gzip at all fails on its first read
+        # a missing file fails to open; a gzip stream that is truncated, corrupt or not gzip at all, on a read
         raise DataError(f"cannot read {path}: {exc}") from None
-    if header is None:
-        raise DataError(f"{path}: empty file")
+    table, n_read, rejected = parsed
+    if table.shape[0] == 0:
+        raise DataError(f"{path}: no usable data rows")
+    X = table[:, [col_idx[c] for c in feature_cols]]
+    m = table[:, col_idx[schema.mass]].copy()  # a view would keep the whole table alive
+    y = None
+    if schema.label:
+        y_raw = table[:, col_idx[schema.label]]
+        if not np.all((y_raw == 0) | (y_raw == 1)):
+            raise DataError(f"{path}: label column {schema.label!r} must contain only 0 and 1")
+        y = y_raw.astype(np.int64)
+    ds = Dataset(X=X, m=m, y=y, feature_names=feature_cols)
+    return ds, IngestReport(n_rows_read=n_read, n_rejected=len(rejected), rejected=rejected)
+
+
+def _plain_header(line: bytes):
+    """The cells of a first line that ``csv.reader`` splits at its commas alone, else None.
+
+    Such a line holds text, ends in ``\\n`` and holds no quote or ``\\r``.
+    A UTF-8 byte-order mark is skipped, and each byte that is not UTF-8
+    becomes a lone surrogate, as in the whole-file read.
+    """
+    line = line.removeprefix(codecs.BOM_UTF8)
+    if line == b"\n" or not line.endswith(b"\n") or b'"' in line or b"\r" in line:
+        return None
+    return line[:-1].decode("utf-8", "surrogateescape").split(",")
+
+
+def _columns(path, header: list[str], schema: CsvSchema):
+    """The feature columns and each column's index, once the header names each column once and every declared one."""
     header = [h.strip() for h in header]
     for i, h in enumerate(header):
         if h in header[:i]:
@@ -290,52 +337,69 @@ def ingest_csv(path, schema: CsvSchema):
         for col in feature_cols:
             if col not in header:
                 raise DataError(f"{path}: missing declared column {col!r}")
-    col_idx = {h: i for i, h in enumerate(header)}
-
-    parsed = _parse_body_fast(body, len(header))
-    table, n_read, rejected = parsed if parsed is not None else _parse_body_strict(path, body, len(header))
-    if table.shape[0] == 0:
-        raise DataError(f"{path}: no usable data rows")
-    X = table[:, [col_idx[c] for c in feature_cols]]
-    m = table[:, col_idx[schema.mass]]
-    y = None
-    if schema.label:
-        y_raw = table[:, col_idx[schema.label]]
-        if not np.all((y_raw == 0) | (y_raw == 1)):
-            raise DataError(f"{path}: label column {schema.label!r} must contain only 0 and 1")
-        y = y_raw.astype(np.int64)
-    ds = Dataset(X=X, m=m, y=y, feature_names=feature_cols)
-    return ds, IngestReport(n_rows_read=n_read, n_rejected=len(rejected), rejected=rejected)
+    return feature_cols, {h: i for i, h in enumerate(header)}
 
 
-# ASCII characters that np.loadtxt strips as whitespace around a number and float() does not
-_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+# Bytes that np.loadtxt reads otherwise than the strict loop: quotes, \r line ends, and the ASCII characters
+# that loadtxt strips as whitespace around a number and float() does not
+_NOT_PLAIN_BYTES = b'"\r\x1c\x1d\x1e\x1f'
 
 
-def _parse_body_fast(body: str, n_fields: int):
-    """``_parse_body_strict``'s result for a body ``np.loadtxt`` reads the same way, else None.
+class _NotPlain(Exception):
+    """Raised on text that ``np.loadtxt`` may read otherwise than ``_parse_body_strict``."""
 
-    Only unquoted ASCII text with ``\\n`` line ends qualifies, and the parse
-    is kept only with one row per line (loadtxt skips empty lines) and
-    ``n_fields`` columns.  Everything else, errors included, is left to the
-    strict parser.
+
+def _parse_stream(f, n_fields: int, chunk_bytes: int):
+    """``_parse_body_strict``'s result for the rest of the binary file ``f`` if ``np.loadtxt`` reads it the same way, else None.
+
+    ``f`` is read ``chunk_bytes`` at a time and each read is cut after its
+    last ``\\n``, so loadtxt takes whole lines, one at a time, and the body
+    is never held whole.  Only unquoted ASCII text with ``\\n`` line ends and
+    no line over csv's field size limit qualifies, and the parse is kept only
+    with one row per line (loadtxt skips empty lines) and ``n_fields``
+    columns.  Everything else, loadtxt's errors included, is left to the
+    strict parser; errors reading ``f`` propagate.
     """
-    # a body that opens with an empty line may hold no data, which loadtxt warns about
-    if not body or body[0] == "\n" or not body.isascii() or any(c in body for c in '"\r' + _LOADTXT_ONLY_SPACE):
-        return None
-    # a line over csv's field size limit, whose cell the strict loop may reject, fills a whole window
-    w = csv.field_size_limit() // 2 + 1
-    if any(body.find("\n", i, i + w) < 0 for i in range(0, len(body) - w + 1, w)):
-        return None
+    limit = csv.field_size_limit()
+    w = limit // 2 + 1  # a line over the limit fills one of its piece's windows of w bytes
+    n_lines = 0
+
+    def lines(piece):
+        nonlocal n_lines
+        if (
+            not piece.isascii()
+            or any(c in piece for c in _NOT_PLAIN_BYTES)
+            or any(piece.find(b"\n", i, i + w) < 0 for i in range(0, len(piece) - w + 1, w))
+            # a body that opens with an empty line may hold no data, which loadtxt warns about
+            or (n_lines == 0 and piece.startswith(b"\n"))
+        ):
+            raise _NotPlain
+        n_lines += piece.count(b"\n")
+        return io.BytesIO(piece)
+
+    def body():
+        pending = bytearray()  # the start of the line that the last read cut
+        while chunk := f.read(chunk_bytes):
+            pending += chunk
+            cut = pending.rfind(b"\n", len(pending) - len(chunk)) + 1
+            if cut:
+                yield from lines(pending[:cut])
+                del pending[:cut]
+            elif len(pending) > limit:
+                raise _NotPlain
+        yield from lines(pending + b"\n" if pending else pending)  # the last line, given the "\n" it lacks
+        if n_lines == 0:
+            raise _NotPlain  # an empty body, which loadtxt warns about
+
     try:
-        # ASCII bytes read as the same characters, without StringIO's 4-byte copy of the body
-        table = np.loadtxt(io.BytesIO(body.encode("ascii")), delimiter=",", comments=None, ndmin=2)
-    except ValueError:
+        table = np.loadtxt(body(), delimiter=",", comments=None, ndmin=2)
+    except (ValueError, _NotPlain):
         return None
-    if table.shape != (body.count("\n") + (not body.endswith("\n")), n_fields):
+    if table.shape != (n_lines, n_fields):
         return None
     finite = np.isfinite(table).all(axis=1)
-    return table[finite], len(finite), [(int(i) + 2, "non-finite value") for i in np.flatnonzero(~finite)]
+    rejected = [(int(i) + 2, "non-finite value") for i in np.flatnonzero(~finite)]
+    return (table[finite] if rejected else table), n_lines, rejected
 
 
 def _parse_body_strict(path, body: str, n_fields: int):

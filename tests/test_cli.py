@@ -16,6 +16,7 @@ import re
 import subprocess
 import sys
 import time
+import zlib
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 
 import splotlearn
 import splotlearn.cli as cli
+from splotlearn import data
 from splotlearn.cli import CONFIG, SHAPES, ConfigError, Shape, _load_dataset, load_config, main, parse_config
 from splotlearn.data import generate_synthetic
 from splotlearn.density import Density1D
@@ -800,14 +802,23 @@ def package_env():
 
 
 @pytest.mark.parametrize(
-    "command, threads",
-    [("run", "1"), ("run", "2"), ("demo-divergence", "1"), ("demo-divergence", "2"), ("sweights", "1"), ("sweep", "2")],
+    "command, threads, csv",
+    [
+        ("run", "1", False), ("run", "2", False), ("demo-divergence", "1", False), ("demo-divergence", "2", False),
+        ("sweights", "1", False), ("sweep", "2", False), ("run", "1", True),
+    ],
+    ids=["run-1", "run-2", "demo-divergence-1", "demo-divergence-2", "sweights-1", "sweep-2", "run-1-csv"],
 )
-def test_the_benchmark_tracer_runs_every_command(tmp_path, command, threads):
+def test_the_benchmark_tracer_runs_every_command(tmp_path, command, threads, csv):
     # bench/trace_cli.py wraps cli's own names, its command table and its process pool from outside;
     # pooled arms count only while the workers call the names it patches
     cfg = base_config(tmp_path / "out", n=400, steps=20, methods=["constrained_mse", "cwola"])
     cfg["sizes"], cfg["sweep"] = [100, 200], {"test_n": 200}
+    if csv:  # the benchmark's data-layer metrics, from a run without sizes, which reads the file once
+        lines = events_csv(generate_synthetic(401, 0.5, 9, n_features=2)).split(b"\n")
+        lines[7] = b"nan" + lines[7][lines[7].index(b","):]
+        (tmp_path / "events.csv").write_bytes(b"\n".join(lines))
+        cfg["data"], cfg["sizes"] = csv_config(tmp_path, tmp_path / "events.csv")["data"], []
     args = [command, "--config", str(write_config(tmp_path, cfg)), "--threads", threads]
     trace = tmp_path / "trace.json"
     out = subprocess.run(
@@ -819,7 +830,10 @@ def test_the_benchmark_tracer_runs_every_command(tmp_path, command, threads):
     if command in ("run", "sweights"):
         # the tracer times the sWeight table's writing by wrapping SWeightTable.to_csv
         assert metrics["splot.to_csv.rows_per_s"] > 0
-    arms = {"run": 2 + 2 * 2, "demo-divergence": len(METHODS), "sweights": 0, "sweep": 2 * 2}[command]
+    if csv:
+        assert metrics["data.ingest_csv.rows_rejected"] == 1
+        assert metrics["data.ingest_csv.rows_per_s"] > 0
+    arms = 2 if csv else {"run": 2 + 2 * 2, "demo-divergence": len(METHODS), "sweights": 0, "sweep": 2 * 2}[command]
     assert metrics["model.train.steps"] == arms * 20
 
 
@@ -931,6 +945,32 @@ def test_bad_gzip_csv_exits_3(tmp_path, capsys, make):
     assert code == 3, err
     assert f"data error: cannot read {csv_path}: " in err
     assert "Traceback" not in err
+
+
+def _flip_20_bytes_in_the_second_half(data: bytes) -> bytes:
+    out = bytearray(data)
+    for i in np.random.default_rng(4).choice(np.arange(len(out) // 2, len(out)), size=20, replace=False):
+        out[i] ^= 0xFF
+    return bytes(out)
+
+
+@pytest.mark.parametrize("make", [_cut_in_half, _flip_20_bytes_in_the_second_half], ids=["truncated", "corrupt"])
+def test_a_gzip_csv_damaged_after_the_first_chunk_exits_3(tmp_path, capsys, monkeypatch, make):
+    # the stream's first half is intact and holds several chunks, which the streaming parser takes before the damage
+    chunk_bytes = 4096
+    monkeypatch.setattr(data, "_CHUNK_BYTES", chunk_bytes)
+    streamed = []
+    monkeypatch.setattr(data, "_parse_stream", lambda *a, parse=data._parse_stream: streamed.append(a) or parse(*a))
+    csv_path = tmp_path / "events.csv.gz"
+    damaged = make(gzip.compress(events_csv(generate_synthetic(2000, 0.5, 5, n_features=2)), mtime=0))
+    assert len(zlib.decompressobj(31).decompress(damaged[: len(damaged) // 2])) > 4 * chunk_bytes
+    csv_path.write_bytes(damaged)
+    code = main(["sweights", "--config", str(write_config(tmp_path, csv_config(tmp_path, csv_path)))])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert f"data error: cannot read {csv_path}: " in err
+    assert "Traceback" not in err
+    assert len(streamed) == 1
 
 
 @st.composite

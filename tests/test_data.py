@@ -1,6 +1,9 @@
 """Synthetic generation, weight attachment, CSV ingestion, region labels, splitting."""
 
+import csv
 import gzip
+import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +21,8 @@ from splotlearn.data import (
     ingest_csv,
     split,
 )
-from splotlearn.data import _parse_body_fast, _parse_body_strict
+from splotlearn import data
+from splotlearn.data import _CHUNK_BYTES, _parse_body_strict, _parse_stream
 from splotlearn.density import (
     MixtureModel, TruncatedExponential, TruncatedGaussian, Uniform, canonical_mixture, canonical_signal_density,
 )
@@ -283,6 +287,25 @@ def test_ingest_rejects_a_cell_over_the_field_size_limit_with_its_line(tmp_path,
         ingest_csv(path, CsvSchema(mass="mass"))
 
 
+@pytest.mark.parametrize(
+    "text, features",
+    [('"mass","y",a\n4.0,1,0.5\n', ["a"]), ("mass,y\r4.0,1\n", [])],  # quoted cells; a line that \r ends
+    ids=["quoted", "cr"],
+)
+def test_ingest_reads_a_header_line_as_csv_reads_it(tmp_path, text, features):
+    path = tmp_path / "header.csv"
+    write_csv(path, text)
+    ds, report = ingest_csv(path, CsvSchema(mass="mass", label="y"))
+    assert (ds.m.tolist(), ds.y.tolist(), ds.feature_names, report.n_rows_read) == ([4.0], [1], features, 1)
+
+
+def test_ingest_reads_a_blank_first_line_as_a_header_of_no_columns(tmp_path):
+    path = tmp_path / "blank.csv"
+    write_csv(path, "\n4.0\n")
+    with pytest.raises(DataError, match="missing declared column ''"):
+        ingest_csv(path, CsvSchema(mass=""))
+
+
 @pytest.mark.parametrize("header, dup", [("mass,label,a,a", "a"), ("mass,label,mass", "mass"), ("mass, a,a ", "a")])
 def test_ingest_rejects_duplicate_column_names(tmp_path, header, dup):
     path = tmp_path / "dup.csv"
@@ -292,13 +315,28 @@ def test_ingest_rejects_duplicate_column_names(tmp_path, header, dup):
         ingest_csv(path, CsvSchema(mass="mass"))
 
 
+def stream(body: str, n_fields: int, chunk_bytes: int):
+    """``_parse_stream`` over the UTF-8 bytes of ``body``, read ``chunk_bytes`` at a time."""
+    return _parse_stream(io.BytesIO(body.encode("utf-8")), n_fields, chunk_bytes)
+
+
+# Chunk sizes for the streaming parser: 3 bytes puts chunk edges inside lines and cells; the default reads
+# these bodies in one piece
+_CHUNKS = (3, _CHUNK_BYTES)
+
+
+@pytest.mark.filterwarnings("error")  # loadtxt warns on a body that holds no data
 def test_ingest_fast_path_takes_plain_bodies():
-    table, n_read, rejected = _parse_body_fast("1,2\n3,nan\n-inf,4.5e-3\n 5 ,+6", 2)
-    np.testing.assert_array_equal(table, [[1.0, 2.0], [5.0, 6.0]])
-    assert n_read == 4 and rejected == [(3, "non-finite value"), (4, "non-finite value")]
-    # cells that np.loadtxt and float() read differently, quotes, odd line ends, bad shapes
-    for body in ["1_0,2\n", "\u0661,2\n", "\x1c1,2\n", '"1",2\n', "1,2\r\n", "1,2\n\n3,4\n", "1,2\n3\n", "1,2,3\n", ""]:
-        assert _parse_body_fast(body, 2) is None, repr(body)
+    for chunk_bytes in _CHUNKS:
+        table, n_read, rejected = stream("1,2\n3,nan\n-inf,4.5e-3\n 5 ,+6", 2, chunk_bytes)
+        np.testing.assert_array_equal(table, [[1.0, 2.0], [5.0, 6.0]])
+        assert n_read == 4 and rejected == [(3, "non-finite value"), (4, "non-finite value")]
+        # cells that np.loadtxt and float() read differently, quotes, odd line ends, bad shapes, long lines
+        for body in [
+            "1_0,2\n", "\u0661,2\n", "\x1c1,2\n", '"1",2\n', "1,2\r\n", "1,2\n\n3,4\n", "1,2\n3\n", "1,2,3\n", "",
+            "\n", "\n\n", "\n1,2\n", "1,2\n" + _LONG_CELL + ",2\n", "1,2\n2," + _LONG_CELL,
+        ]:
+            assert stream(body, 2, chunk_bytes) is None, (chunk_bytes, repr(body[:20]))
 
 
 # Cells the two parsers must agree on: plain and odd numbers, non-finite values,
@@ -341,26 +379,29 @@ def csv_bodies(draw, n_fields=3):
 
 
 def assert_parsers_agree(body, n_fields=3):
-    """Where the fast path takes ``body``, its result is the strict loop's, bit for bit."""
-    fast = _parse_body_fast(body, n_fields)
+    """Where the streaming parser takes ``body``, at each chunk size, its result is the strict loop's, bit for bit."""
     try:
         strict = _parse_body_strict("f.csv", body, n_fields)
     except DataError as exc:
         strict = str(exc)
-    if fast is None:
-        return  # the strict loop's result or error stands
-    assert not isinstance(strict, str), (strict, body)
-    assert fast[0].dtype == strict[0].dtype and fast[0].shape == strict[0].shape
-    assert fast[0].tobytes() == strict[0].tobytes()
-    assert fast[1:] == strict[1:]
+    for chunk_bytes in _CHUNKS:
+        fast = stream(body, n_fields, chunk_bytes)
+        if fast is None:
+            continue  # the strict loop's result or error stands
+        assert not isinstance(strict, str), (strict, body, chunk_bytes)
+        assert fast[0].dtype == strict[0].dtype and fast[0].shape == strict[0].shape
+        assert fast[0].tobytes() == strict[0].tobytes()
+        assert fast[1:] == strict[1:]
 
 
+@pytest.mark.filterwarnings("error")
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(csv_bodies())
 def test_ingest_fast_path_agrees_with_the_strict_loop(body):
     assert_parsers_agree(body)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("cell", _CELLS)
 def test_ingest_fast_path_agrees_on_every_cell(cell):
     for j in range(3):
@@ -375,10 +416,111 @@ def test_ingest_body_parsers_agree_on_a_large_plain_body():
     cells = [[repr(v) for v in row] for row in values.tolist()]
     cells[17][2], cells[4321][0] = "nan", "-inf"
     body = "\n".join(",".join(row) for row in cells) + "\n"
-    fast, strict = _parse_body_fast(body, 4), _parse_body_strict("f.csv", body, 4)
-    assert fast is not None
-    assert fast[0].tobytes() == strict[0].tobytes()
-    assert fast[1:] == strict[1:] == (5000, [(19, "non-finite value"), (4323, "non-finite value")])
+    strict = _parse_body_strict("f.csv", body, 4)
+    for chunk_bytes in _CHUNKS:
+        fast = stream(body, 4, chunk_bytes)
+        assert fast is not None
+        assert fast[0].tobytes() == strict[0].tobytes()
+        assert fast[1:] == strict[1:] == (5000, [(19, "non-finite value"), (4323, "non-finite value")])
+
+
+def test_the_stream_holds_no_more_of_a_long_line_than_the_field_size_limit():
+    chunk_bytes = 1000
+    f = io.BytesIO(b"1" * (10 * csv.field_size_limit()) + b",2\n")
+    assert _parse_stream(f, 2, chunk_bytes) is None
+    assert f.tell() <= csv.field_size_limit() + chunk_bytes
+
+
+def test_the_stream_drops_non_finite_rows_on_both_sides_of_each_chunk_edge():
+    rng = np.random.default_rng(4)
+    cells = [[repr(v) for v in row] for row in rng.standard_normal((120, 3)).tolist()]
+    chunk_bytes = 256
+    starts = np.cumsum([0] + [len(",".join(row)) + 1 for row in cells])
+    edges = range(chunk_bytes, int(starts[-1]) - chunk_bytes, chunk_bytes)
+    marked = []
+    for edge in edges:
+        i = int(np.searchsorted(starts, edge, side="right")) - 1  # the row the edge cuts, or whose "\n" ends before it
+        cells[i - 1][0], cells[i][1], cells[i + 1][2] = "nan", "inf", "-inf"
+        marked += [i - 1, i, i + 1]
+    body = "\n".join(",".join(row) for row in cells) + "\n"
+    strict = _parse_body_strict("f.csv", body, 3)
+    fast = stream(body, 3, chunk_bytes)
+    assert len(edges) >= 10 and fast is not None
+    assert fast[0].dtype == strict[0].dtype and fast[0].tobytes() == strict[0].tobytes()
+    assert fast[1:] == strict[1:] == (120, [(i + 2, "non-finite value") for i in marked])
+
+
+# Damage past the first chunk, as the first cell of one row or, for "crlf", as the whole row:
+# (bytes, whether the strict loop rejects the file)
+_LATE_DAMAGE = {
+    "non-ascii": (b"0.5\xff", True),
+    "quote": (b'0.5"', True),
+    "cr": (b"0.5\r", True),
+    "long-line": (_LONG_CELL.encode(), True),
+    "quoted-cell": (b'"0.5"', False),
+    "crlf": (b"0.5,1,2.5\r", False),
+}
+
+
+@pytest.mark.parametrize("compress", [False, True], ids=["plain", "gz"])
+@pytest.mark.parametrize("damage", list(_LATE_DAMAGE))
+def test_ingest_reads_damage_after_the_first_chunk_as_the_strict_loop_does(tmp_path, monkeypatch, damage, compress):
+    # a body the stream leaves part-way is read again, whole, by the strict loop: same table or same message and line
+    chunk_bytes = 256
+    monkeypatch.setattr(data, "_CHUNK_BYTES", chunk_bytes)
+    rng = np.random.default_rng(6)
+    rows = [[repr(v) for v in row] for row in rng.standard_normal((200, 3)).tolist()]
+    for row in rows:
+        row[1] = str(int(float(row[1]) > 0))
+    lines = [",".join(row).encode() for row in rows]
+    cell, fails = _LATE_DAMAGE[damage]
+    bad = 150
+    lines[bad] = cell + lines[bad][lines[bad].index(b","):] if damage != "crlf" else cell
+    raw = b"mass,label,a\n" + b"\n".join(lines) + b"\n"
+    assert raw.index(cell) > 4 * chunk_bytes
+    path = tmp_path / ("late.csv.gz" if compress else "late.csv")
+    path.write_bytes(gzip.compress(raw, mtime=0) if compress else raw)
+    body = raw[raw.index(b"\n") + 1:].decode("utf-8", "surrogateescape")
+    schema = CsvSchema(mass="mass", label="label")
+    if fails:
+        with pytest.raises(DataError) as strict:
+            _parse_body_strict(path, body, 3)
+        with pytest.raises(DataError) as got:
+            ingest_csv(path, schema)
+        assert str(got.value) == str(strict.value)
+        assert f"line {bad + 2}: " in str(got.value)
+    else:
+        table, n_read, rejected = _parse_body_strict(path, body, 3)
+        ds, report = ingest_csv(path, schema)
+        assert (report.n_rows_read, report.rejected) == (n_read, rejected) == (200, [])
+        assert ds.m.tobytes() == table[:, 0].tobytes() and ds.X.tobytes() == table[:, 2:].tobytes()
+        np.testing.assert_array_equal(ds.y, table[:, 1])
+
+
+@pytest.mark.parametrize("compress", [False, True], ids=["plain", "gz"])
+def test_ingest_peaks_near_twice_the_parsed_table_and_keeps_only_its_columns(tmp_path, compress):
+    n = 100_000
+    rng = np.random.default_rng(21)
+    values = rng.standard_normal((n, 7))
+    values[:, 1] = rng.integers(0, 2, n)
+    header = "mass,label," + ",".join(f"x{j}" for j in range(5))
+    raw = (header + "\n" + "\n".join(",".join(map(repr, row)) for row in values.tolist()) + "\n").encode()
+    path = tmp_path / ("big.csv.gz" if compress else "big.csv")
+    path.write_bytes(gzip.compress(raw, compresslevel=1) if compress else raw)
+    del raw
+    table_bytes = values.nbytes
+    tracemalloc.start()
+    try:
+        ds, report = ingest_csv(path, CsvSchema(mass="mass", label="label"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.n_rows_read == n and ds.X.tobytes() == values[:, 2:].tobytes()
+    assert peak <= 3 * table_bytes, peak / table_bytes
+    for column in (ds.X, ds.m, ds.y):
+        while column is not None:  # no array under a column holds the 7-column table
+            assert column.nbytes < table_bytes
+            column = column.base
 
 
 # ---------------------------------------------------------------------------
