@@ -372,10 +372,20 @@ def _table_summary(table, tag: str = "") -> dict:
     }
 
 
-def _weighted_inputs(cfg: ExperimentConfig, seed: int, sizes: list[int] | None = None):
+def _split_events(cfg: ExperimentConfig, seed: int) -> tuple[Dataset, Dataset, dict]:
+    """The seed's configured events split into a train pool and a test set, with the row counts."""
+    ds, rows = _load_dataset(cfg, seed)
+    train_pool, test_raw = split(ds, cfg.test_fraction, seed)
+    rows["n_total"] = ds.n
+    _check_scorable(f"split of {rows['n_total']} events", test_raw, train_pool.n)
+    return train_pool, test_raw, rows
+
+
+def _weighted_inputs(cfg: ExperimentConfig, seed: int, sizes: list[int] | None = None, parts=None):
     """One seed's weighted (dataset, table) pairs: the train sets keyed by size, the test set; and the row counts.
 
     Without ``sizes`` the one train set is the whole train split, keyed None.  A synthetic sweep reads no rows.
+    ``parts`` is the seed's ``_split_events`` when the caller holds it already; it is not weighted in place.
     """
     if sizes and cfg.synthetic is not None:
         test_seed = int(np.random.SeedSequence([seed, 0x7E57]).generate_state(1)[0])
@@ -383,11 +393,7 @@ def _weighted_inputs(cfg: ExperimentConfig, seed: int, sizes: list[int] | None =
         _check_scorable(f"sweep test set of seed {seed}", test_raw)
         rows = None
     else:
-        ds, rows = _load_dataset(cfg, seed)
-        train_pool, test_raw = split(ds, cfg.test_fraction, seed)
-        rows["n_total"] = ds.n
-        del ds  # the split's parts hold copies of its rows
-        _check_scorable(f"split of {rows['n_total']} events", test_raw, train_pool.n)
+        train_pool, test_raw, rows = parts or _split_events(cfg, seed)
     trains = {}
     for size in sizes or [None]:
         if size is None:
@@ -404,9 +410,12 @@ def _weighted_inputs(cfg: ExperimentConfig, seed: int, sizes: list[int] | None =
     return trains, attach_sweights(test_raw, cfg.mixture(test_raw.n)), rows
 
 
-def _run_training_stage(cfg: ExperimentConfig, out_dir: Path, seed: int, methods: list[str], threads: int):
-    """Data -> sWeights -> one model per method; returns each arm's record and the files written."""
-    trains, (test_ds, test_table), rows = _weighted_inputs(cfg, seed)
+def _run_training_stage(cfg: ExperimentConfig, out_dir: Path, seed: int, methods: list[str], threads: int, parts=None):
+    """Data -> sWeights -> one model per method; returns each arm's record and the files written.
+
+    ``parts``: the seed's split, when the caller holds it already.
+    """
+    trains, (test_ds, test_table), rows = _weighted_inputs(cfg, seed, parts=parts)
     train_ds, train_table = trains[None]
     artifacts = [out_dir / "sweights.csv"]
     train_table.to_csv(artifacts[0])
@@ -493,10 +502,12 @@ def _sweep_cell(cfg: ExperimentConfig, method: str, seed: int, train_ds: Dataset
     return None if report.aborted or not np.isfinite(final_auc) else float(final_auc)
 
 
-def _run_sweep_stage(cfg: ExperimentConfig, out_dir: Path, seeds: list[int], threads: int):
+def _run_sweep_stage(cfg: ExperimentConfig, out_dir: Path, seeds: list[int], threads: int, first_split=None):
+    """The size sweep over ``seeds``; ``first_split`` is the split of ``seeds[0]``, when the caller holds it already."""
     inputs = {}
     for seed in seeds:  # the cells read only the weighted datasets, so their tables are not kept through the sweep
-        trains, (test_ds, _), _ = _weighted_inputs(cfg, seed, cfg.sizes)
+        parts = first_split if seed == seeds[0] else None
+        trains, (test_ds, _), _ = _weighted_inputs(cfg, seed, cfg.sizes, parts)
         inputs[seed] = {size: ds for size, (ds, _) in trains.items()}, test_ds
     cells = [(size, method, seed) for size in cfg.sizes for method in cfg.methods for seed in seeds]
     results = _map_jobs(_cell_job, cells, threads, (cfg, inputs))
@@ -514,16 +525,18 @@ def _run_sweep_stage(cfg: ExperimentConfig, out_dir: Path, seeds: list[int], thr
 def _experiment(command: str, cfg: ExperimentConfig, out_dir: Path, threads: int, *, arms, summary, sweeps: bool) -> int:
     """A command that trains: ``arms(cfg)`` on the first seed, recorded in ``summary``, then the size sweep if ``sweeps``."""
     seed, artifacts = cfg.seeds[0], []
+    sweeping = sweeps and bool(cfg.sizes)
+    # a CSV sweep splits the first seed's events as the training stage does, so both stages take one read
+    first_split = _split_events(cfg, seed) if summary is not None and sweeping and cfg.csv is not None else None
     if summary is not None:
-        arm_info, artifacts = _run_training_stage(cfg, out_dir, seed, arms(cfg), threads)
+        arm_info, artifacts = _run_training_stage(cfg, out_dir, seed, arms(cfg), threads, first_split)
         if command == "demo-divergence":
             shared = {info["init_theta_sha256"] for info in arm_info.values()}
             arm_info = {"shared_initial_weights": len(shared) == 1, "arms": arm_info}
         artifacts.append(out_dir / summary)
         _json_dump(arm_info, artifacts[-1])
-    sweeping = sweeps and bool(cfg.sizes)
     if sweeping:
-        artifacts += _run_sweep_stage(cfg, out_dir, cfg.seeds, threads)
+        artifacts += _run_sweep_stage(cfg, out_dir, cfg.seeds, threads, first_split)
     _write_manifest(out_dir, command, cfg, cfg.seeds if sweeping else [seed], artifacts)
     return 0
 
@@ -531,10 +544,12 @@ def _experiment(command: str, cfg: ExperimentConfig, out_dir: Path, threads: int
 def cmd_sweights(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     seed = cfg.seeds[0]
     ds, rows = _load_dataset(cfg, seed)
-    table = compute_sweights(ds.m, cfg.mixture(ds.n))
+    m = ds.m
+    del ds  # the weights need only the masses
+    table = compute_sweights(m, cfg.mixture(m.size))
     paths = [out_dir / "sweights.csv", out_dir / "sweights_summary.json"]
     table.to_csv(paths[0])
-    summary = {**rows, "n_events": ds.n, "v_condition_number": table.condition_number, **_table_summary(table)}
+    summary = {**rows, "n_events": m.size, "v_condition_number": table.condition_number, **_table_summary(table)}
     _json_dump(summary, paths[1])
     _write_manifest(out_dir, "sweights", cfg, [seed], paths)
     return 0

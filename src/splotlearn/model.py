@@ -253,12 +253,19 @@ class Mlp:
     def load(cls, path, leaky_slope: float = 0.05, l2_coefficient: float = 0.0, seed: int = 0) -> "Mlp":
         with open(path, "rb") as f:
             blob = f.read()
-        if blob[:4] != MAGIC:
+
+        def need(size: int) -> None:
+            if len(blob) < size:
+                raise ValueError(f"truncated model file {path}: expected {size} bytes, got {len(blob)}")
+
+        if blob[:4] != MAGIC[: len(blob)]:
             raise ValueError(f"not a model file: bad magic {blob[:4]!r}")
+        need(12)
         version = int(np.frombuffer(blob, dtype="<u4", count=1, offset=4)[0])
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported model format version {version}")
         n_dims = int(np.frombuffer(blob, dtype="<u4", count=1, offset=8)[0])
+        need(12 + 4 * n_dims)
         dims = np.frombuffer(blob, dtype="<u4", count=n_dims, offset=12).astype(int)
         cfg = MlpConfig(
             input_dim=int(dims[0]),
@@ -268,10 +275,11 @@ class Mlp:
             l2_coefficient=l2_coefficient,
         )
         model = cls(cfg)
-        theta = np.frombuffer(blob, dtype="<f8", offset=12 + 4 * n_dims)
-        if theta.shape[0] != model.n_params:
-            raise ValueError(f"parameter count mismatch: file has {theta.shape[0]}, dims imply {model.n_params}")
-        model.theta[...] = theta
+        size = 12 + 4 * n_dims + 8 * model.n_params
+        need(size)
+        if len(blob) > size:
+            raise ValueError(f"model file {path} is too long: its dims imply {size} bytes, got {len(blob)}")
+        model.theta[...] = np.frombuffer(blob, dtype="<f8", offset=12 + 4 * n_dims)
         return model
 
 

@@ -37,6 +37,10 @@ _FIT_MAX_ITER = 200
 # max(|L|, n) is within the rounding of L and counts as no change.
 _LOGLIK_SLACK = 1e-13
 
+# Events per block of the weight assembly. Its working arrays hold k + 1 runs of this many
+# doubles and the block's per-event sums, so the memory beyond the table stays bounded.
+_WEIGHT_BLOCK_ROWS = 16384
+
 # Rows formatted per write. A block's working arrays take a few hundred bytes
 # per weight, so memory stays bounded whatever the table's size; larger blocks
 # were no faster.
@@ -68,11 +72,12 @@ class YieldFitError(SplotError):
 class SWeightTable:
     """Per-event, per-species weights plus the species covariance matrix.
 
-    ``weights`` has one row per input event.  An event is flagged when its
-    mixture denominator under the starting yields is below
-    ``DENOMINATOR_FLOOR``; the yield fit, Vinv and the weights all use the
-    other events, so flagged events carry all-zero rows, and their indices
-    are listed in ``flagged_events``.
+    ``weights`` has one row per input event and, like ``densities``, is
+    stored species by species, so each species' column is contiguous.  An
+    event is flagged when its mixture denominator under the starting yields
+    is below ``DENOMINATOR_FLOOR``; the yield fit, Vinv and the weights all
+    use the other events, so flagged events carry all-zero rows, and their
+    indices are listed in ``flagged_events``.
     """
 
     weights: np.ndarray
@@ -369,13 +374,15 @@ def fit_yields(
     n_events = pt.shape[1]
     lam = n_events / total
     n = init * (total / init.sum())
+    # every step rewrites the denominators and the per-event terms of L in place
+    denom, terms = np.empty(n_events), np.empty(n_events)
 
-    def state(n):
+    def loglik_at(n):
         # the floor only matters for events orphaned by a yield at 0
-        denom = np.maximum(n @ pt, 1e-300)
-        return denom, float(np.sum(np.log(denom)))
+        np.maximum(np.matmul(n, pt, out=denom), 1e-300, out=denom)
+        return float(np.sum(np.log(denom, out=terms)))
 
-    denom, loglik = state(n)
+    loglik = loglik_at(n)
     a = np.empty_like(pt)
     for it in range(max_iter + 1):
         np.divide(pt, denom, out=a)
@@ -392,7 +399,7 @@ def fit_yields(
             # L(n_new) - L(n) = sum_e log(1 + a_e.(n_new - n)), free of the
             # cancellation between two sums of n logs
             with np.errstate(divide="ignore", invalid="ignore"):
-                gain = np.sum(np.log1p((n_new - n) @ a))
+                gain = np.sum(np.log1p(np.matmul(n_new - n, a, out=terms), out=terms))
         # near the maximum the true gain is smaller than the change that
         # rounding the yields to their total alone makes to L
         if d is None or not gain >= -_LOGLIK_SLACK * max(abs(loglik), n_events):
@@ -400,7 +407,7 @@ def fit_yields(
             n_new = n * g
             n_new *= total / n_new.sum()
         n = n_new
-        denom, loglik = state(n)
+        loglik = loglik_at(n)
         if callback is not None:
             callback(n.copy(), loglik)
 
@@ -426,7 +433,9 @@ def compute_sweights(masses, mm: MixtureModel) -> SWeightTable:
     are flagged; the fit sees the other events, and its last step gives
     Vinv, its condition number and the denominators the weights divide by,
     so the per-event and per-species sum identities are exact.  The
-    densities are evaluated once, and the table keeps them.
+    densities are evaluated once, and the table keeps them.  Besides the
+    table, the call holds the fit's ratio matrix and two event-long buffers
+    at its peak, and assembles the weights in blocks of events.
     """
     if mm.n_species < 2:
         raise SplotError("covariance matrix needs at least 2 species")
@@ -437,34 +446,49 @@ def compute_sweights(masses, mm: MixtureModel) -> SWeightTable:
     n_good = len(masses) - flagged.size
     if n_good == 0:
         raise SplotError("all events have a degenerate mixture denominator")
-    rows = good if flagged.size else slice(None)
-    p_rows = p[rows]
+    # p_k(m_e) of the kept events, one contiguous row per species
+    pt = np.compress(good, p.T, axis=1) if flagged.size else p.T
 
     init = mm.yields * (n_good / mm.yields.sum())
-    fit = fit_yields(masses[rows], mm.components, init, float(n_good), densities=p_rows)
+    fit = fit_yields(None, mm.components, init, float(n_good), densities=pt.T)
     yields, denom, vinv = np.array(fit), fit.denominator, fit.vinv
     live = np.ix_(yields > 0, yields > 0)
     v = np.zeros_like(vinv)
     v[live] = _invert_vinv(vinv[live])
 
-    weights = np.zeros((len(masses), mm.n_species))
-    row_sums = 0.0
-    col_sums = np.empty(mm.n_species)
-    for i in range(mm.n_species):
-        # ordered accumulation over species keeps each weight bit-identical
-        # to the straightforward per-event loop
-        w = p_rows[:, 0] * v[i, 0]
-        for j in range(1, mm.n_species):
-            w += p_rows[:, j] * v[i, j]
-        w /= denom
-        weights[rows, i] = w
-        row_sums = row_sums + w
-        col_sums[i] = w.sum()
+    k = mm.n_species
+    # species-major, as the densities are: each species' weights are one contiguous run
+    weights = np.zeros((k, len(masses))).T
+    # the kept events' weights, one row per species: the table itself or, with flagged events, the kept
+    # densities, each block overwritten once read; these rows are then spread over the table
+    wt = pt if flagged.size else weights.T
+    w = np.empty((k, min(n_good, _WEIGHT_BLOCK_ROWS)))
+    term = np.empty(w.shape[1])
+    event_sum_residual = 0.0
+    for start in range(0, n_good, _WEIGHT_BLOCK_ROWS):
+        block = slice(start, start + _WEIGHT_BLOCK_ROWS)
+        pb = pt[:, block]
+        wb, t = w[:, : pb.shape[1]], term[: pb.shape[1]]
+        for i in range(k):
+            # ordered accumulation over species keeps each weight bit-identical
+            # to the straightforward per-event loop
+            np.multiply(pb[0], v[i, 0], out=wb[i])
+            for j in range(1, k):
+                wb[i] += np.multiply(pb[j], v[i, j], out=t)
+            wb[i] /= denom[block]
+        wt[:, block] = wb
+        # the per-event sums add the species in order, as that loop does
+        event_sum_residual = np.maximum(event_sum_residual, np.abs(wb.sum(axis=0) - 1.0).max())
+    # each sum runs over one contiguous row of the kept events' weights
+    col_sums = np.array([row.sum() for row in wt])
+    if flagged.size:
+        for i in range(k):
+            weights[:, i][good] = wt[i]
     return SWeightTable(
         weights, v, vinv, yields, list(mm.names), flagged, fit.condition_number, p,
         fit_iterations=fit.iterations,
         fit_loglik=fit.loglik,
         kkt_residual=fit.kkt_residual,
-        event_sum_residual=float(np.max(np.abs(row_sums - 1.0))),
+        event_sum_residual=float(event_sum_residual),
         species_sum_residual=float(np.max(np.abs(col_sums - yields)) / yields.sum()),
     )

@@ -2,10 +2,15 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The training-based
 criteria (6-8) dominate the runtime; each asserts its own wall-clock budget.
+They train their independent arms in a fork pool with a worker per usable
+CPU; every arm trains from its own seed, so the results are the same as in
+one process.
 """
 
 import json
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -14,7 +19,7 @@ import pytest
 from scipy.stats import chi2
 
 import splotlearn as sl
-from splotlearn.cli import main as cli_main
+from splotlearn.cli import _usable_cpus, main as cli_main
 from splotlearn.evaluation import roc_auc, size_sweep
 from splotlearn.losses import constrained_mse, exact_likelihood, plain_ce, weighted_ce
 from splotlearn.model import AdamConfig, Mlp, MlpConfig
@@ -206,6 +211,32 @@ BENCH_HIDDEN = (64, 32, 16)
 BENCH_STEPS = 20_000
 BENCH_EVAL_EVERY = 4000
 
+# the job function of the running pool_map, which forked workers inherit, so that a task carries only its key
+_job = None
+
+
+def _call_job(key):
+    return _job(key)
+
+
+def pool_map(fn, keys):
+    """``[fn(key) for key in keys]``, in a pool of min(len(keys), usable CPUs) workers; serial on one CPU.
+
+    The workers fork, so they inherit ``fn`` and the datasets it reads instead of unpickling them; the session
+    starts no threads of its own (``conftest.py`` pins OpenBLAS to one), which is what makes the fork safe.
+    """
+    global _job
+    workers = min(len(keys), _usable_cpus())
+    if workers <= 1:
+        return [fn(key) for key in keys]
+    _job = fn
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            return list(pool.map(_call_job, keys))
+    finally:
+        _job = None
+
+
 def attach(ds):
     mm = sl.canonical_mixture(ds.n / 2, ds.n / 2)
     out, _ = sl.attach_sweights(ds, mm)
@@ -231,13 +262,12 @@ def test_criterion_6_divergence_reproduction():
         tr = attach(train_raw)
         te = attach(test_raw)
 
-        reports = {}
-        for method in ["weighted_ce", "constrained_mse", "exact_likelihood", "true_labels"]:
-            reports[method] = train_arm(
-                method, tr, te,
-                hidden=DEMO_HIDDEN, steps=DEMO_STEPS, eval_every=DEMO_EVAL_EVERY,
-                seed=3, n_features=DEMO_N_FEATURES, l2=DEMO_L2,
-            )
+        methods = ["weighted_ce", "constrained_mse", "exact_likelihood", "true_labels"]
+        reports = dict(zip(methods, pool_map(lambda method: train_arm(
+            method, tr, te,
+            hidden=DEMO_HIDDEN, steps=DEMO_STEPS, eval_every=DEMO_EVAL_EVERY,
+            seed=3, n_features=DEMO_N_FEATURES, l2=DEMO_L2,
+        ), methods)))
 
         div = reports["weighted_ce"]
         assert np.min(div.train_loss) < 0.0, f"weighted CE train loss stayed at {np.min(div.train_loss):.4f}"
@@ -260,18 +290,24 @@ def test_criterion_6_divergence_reproduction():
 def ordering_runs():
     """Criterion 7 runs; final AUC per (method, seed) at 5e4 train events."""
     results = {m: [] for m in ["true_labels", "constrained_mse", "exact_likelihood", "cwola"]}
+    sets = {}
     for seed in range(5):
         full = sl.generate_synthetic(100_000, SIGNAL_FRACTION, seed=700 + seed)
         train_raw, test_raw = sl.split(full, 0.5, seed=seed)
-        tr = attach(train_raw)
-        te = attach(test_raw)
-        for method in results:
-            rep = train_arm(
-                method, tr, te,
-                hidden=BENCH_HIDDEN, steps=BENCH_STEPS, eval_every=BENCH_EVAL_EVERY,
-                seed=seed, n_features=5, curve=False,  # only the final AUC is read
-            )
-            results[method].append(rep.test_auc[-1])
+        sets[seed] = attach(train_raw), attach(test_raw)
+
+    def arm(job):
+        method, seed = job
+        rep = train_arm(
+            method, *sets[seed],
+            hidden=BENCH_HIDDEN, steps=BENCH_STEPS, eval_every=BENCH_EVAL_EVERY,
+            seed=seed, n_features=5, curve=False,  # only the final AUC is read
+        )
+        return rep.test_auc[-1]
+
+    jobs = [(method, seed) for seed in sets for method in results]
+    for (method, _), auc in zip(jobs, pool_map(arm, jobs)):
+        results[method].append(auc)
     return {m: np.asarray(v) for m, v in results.items()}
 
 
@@ -305,8 +341,11 @@ def test_criterion_8_size_sweep_trend(tmp_path):
             )
             return None if rep.aborted else float(rep.test_auc[-1])
 
+        methods = ["true_labels", "constrained_mse"]
+        cells = [(size, method, seed) for size in sizes for method in methods for seed in seeds]
+        aucs = dict(zip(cells, pool_map(lambda c: cell(*c), cells)))
         result = size_sweep(
-            sizes, ["true_labels", "constrained_mse"], seeds, cell,
+            sizes, methods, seeds, lambda *c: aucs[c],
             out_csv=tmp_path / "sweep.csv", out_summary_csv=tmp_path / "sweep_summary.csv",
             out_svg=tmp_path / "sweep.svg",
         )

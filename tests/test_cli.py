@@ -16,6 +16,7 @@ import re
 import subprocess
 import sys
 import time
+import weakref
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -835,6 +836,54 @@ def test_the_benchmark_tracer_runs_every_command(tmp_path, command, threads, csv
         assert metrics["data.ingest_csv.rows_per_s"] > 0
     arms = 2 if csv else {"run": 2 + 2 * 2, "demo-divergence": len(METHODS), "sweights": 0, "sweep": 2 * 2}[command]
     assert metrics["model.train.steps"] == arms * 20
+
+
+def test_a_run_with_sizes_reads_its_csv_once_and_sweeps_as_sweep_does(tmp_path):
+    # the sweep takes the training stage's split of the first seed, before the masses outside the support are dropped
+    lines = events_csv(generate_synthetic(401, 0.5, 9, n_features=2)).split(b"\n")
+    lines[7] = b"nan" + lines[7][lines[7].index(b","):]
+    for i in range(30, 34):
+        lines[i] = b"11.0" + lines[i][lines[i].index(b","):]
+    (tmp_path / "events.csv").write_bytes(b"\n".join(lines))
+    cfg = csv_config(tmp_path, tmp_path / "events.csv", steps=20, methods=["constrained_mse", "cwola"])
+    cfg["sizes"] = [100, 200]
+    for seeds in ([0], [0, 1]):
+        cfg["seeds"], tag = seeds, f"seeds-{len(seeds)}"
+        config = write_config(tmp_path, cfg, f"{tag}.json")
+        out = subprocess.run(
+            [sys.executable, str(ROOT / "bench" / "trace_cli.py"), str(tmp_path / f"{tag}.trace"), "run", "--config",
+             str(config), "--out", str(tmp_path / f"run-{tag}"), "--threads", "1"],
+            capture_output=True, text=True, env=package_env(), timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        trace = json.loads((tmp_path / f"{tag}.trace").read_text())
+        # one read for each seed, which drops the nan row
+        assert trace["raw"]["calls"]["data.ingest_csv"] == len(seeds)
+        assert trace["metrics"]["data.ingest_csv.rows_rejected"] == len(seeds)
+        assert json.loads((tmp_path / f"run-{tag}" / "dataset_summary.json").read_text())["n_train_flagged"] > 0
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / f"sweep-{tag}"), "--threads", "1"]) == 0
+        for name in ("sweep.csv", "sweep_summary.csv"):
+            assert (tmp_path / f"run-{tag}" / name).read_bytes() == (tmp_path / f"sweep-{tag}" / name).read_bytes()
+
+
+@pytest.mark.parametrize("csv", [False, True], ids=["synthetic", "csv"])
+def test_sweights_let_go_of_the_features_before_the_fit(tmp_path, monkeypatch, csv):
+    cfg = base_config(tmp_path / "out", n=600)
+    if csv:
+        (tmp_path / "events.csv").write_bytes(events_csv(generate_synthetic(600, 0.5, 9, n_features=2)))
+        cfg = csv_config(tmp_path, tmp_path / "events.csv")
+    features, alive = [], []
+    load, weigh = cli._load_dataset, cli.compute_sweights
+
+    def loading(*a):
+        ds, rows = load(*a)
+        features.append(weakref.ref(ds.X))
+        return ds, rows
+
+    monkeypatch.setattr(cli, "_load_dataset", loading)
+    monkeypatch.setattr(cli, "compute_sweights", lambda *a: alive.append(features[0]() is not None) or weigh(*a))
+    assert main(["sweights", "--config", str(write_config(tmp_path, cfg))]) == 0
+    assert alive == [False]
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])

@@ -500,3 +500,28 @@ def test_load_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(ValueError, match="magic"):
         Mlp.load(path)
+
+
+def test_load_names_the_size_of_a_truncated_file(tmp_path):
+    model = Mlp(MlpConfig(input_dim=3, hidden=(5, 4), seed=13))
+    path = tmp_path / "model.spml"
+    model.save(path)
+    blob = path.read_bytes()
+    # magic, version and the layer count take 12 bytes, the four layer dims 16, then the parameters
+    assert len(blob) == 12 + 16 + 8 * model.n_params
+    cut = tmp_path / "cut.spml"
+    for size in [*range(21), len(blob) - 3]:
+        cut.write_bytes(blob[:size])
+        expected = 12 if size < 12 else 28 if size < 28 else len(blob)
+        with pytest.raises(ValueError) as info:
+            Mlp.load(cut)
+        assert str(info.value) == f"truncated model file {cut}: expected {expected} bytes, got {size}"
+
+
+def test_load_rejects_bytes_after_the_parameters(tmp_path):
+    path = tmp_path / "model.spml"
+    Mlp(MlpConfig(input_dim=3, hidden=(5, 4), seed=13)).save(path)
+    blob = path.read_bytes()
+    path.write_bytes(blob + b"\0" * 3)
+    with pytest.raises(ValueError, match=f"too long: its dims imply {len(blob)} bytes, got {len(blob) + 3}"):
+        Mlp.load(path)

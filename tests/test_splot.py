@@ -1,5 +1,7 @@
 """Covariance matrix, sWeights, yield fit, and their exact identities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -8,10 +10,11 @@ from hypothesis import strategies as st
 import splotlearn.splot as splot
 from splotlearn.data import generate_synthetic
 from splotlearn.density import (
-    Density1D, MixtureDensity, MixtureModel, TruncatedExponential, TruncatedGaussian, Uniform, canonical_mixture,
+    DENOMINATOR_FLOOR, Density1D, MixtureDensity, MixtureModel, TruncatedExponential, TruncatedGaussian, Uniform, canonical_mixture,
 )
 from splotlearn.splot import (
     _CSV_BLOCK_ROWS,
+    _WEIGHT_BLOCK_ROWS,
     _csv_rows,
     SplotError,
     SWeightTable,
@@ -276,6 +279,121 @@ def test_yield_standard_errors_are_the_root_diagonal_of_v(overlap):
     errors = table.diagnostics()["yield_standard_errors"]
     assert errors == np.sqrt(np.diag(table.v)).tolist()
     assert [e == 0.0 for e in errors] == [y == 0.0 for y in table.yields]
+
+
+def event_major_sweights(masses, mm):
+    """compute_sweights and its fit as written with whole-column temporaries: an event-major weight table,
+    a new denominator array at every step of the fit, and one species' weights at a time."""
+    p = mm.component_densities(masses)
+    good = mm.denominator(p) >= DENOMINATOR_FLOOR
+    flagged = np.flatnonzero(~good)
+    rows = good if flagged.size else slice(None)
+    p_rows = p[rows]
+    total = float(p_rows.shape[0])
+    pt = np.ascontiguousarray(p_rows.T)
+    init = mm.yields * (total / mm.yields.sum())
+    n = init * (total / init.sum())
+
+    def state(n):
+        denom = np.maximum(n @ pt, 1e-300)
+        return denom, float(np.sum(np.log(denom)))
+
+    denom, loglik = state(n)
+    for it in range(splot._FIT_MAX_ITER + 1):
+        a = pt / denom
+        g = a.sum(axis=1)
+        q = compute_vinv(a)
+        residual = splot._kkt_residual(g, n, 1.0)
+        if residual <= splot._FIT_TOL:
+            break
+        d = splot._newton_direction(q, g, n, 1.0)
+        if d is not None:
+            n_new = splot._step_to_boundary(n, d, total)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gain = np.sum(np.log1p((n_new - n) @ a))
+        if d is None or not gain >= -splot._LOGLIK_SLACK * max(abs(loglik), total):
+            n_new = n * g
+            n_new *= total / n_new.sum()
+        n = n_new
+        denom, loglik = state(n)
+    live = np.ix_(n > 0, n > 0)
+    v = np.zeros_like(q)
+    v[live] = splot._invert_vinv(q[live])
+    weights = np.zeros((len(masses), mm.n_species))
+    row_sums = 0.0
+    col_sums = np.empty(mm.n_species)
+    for i in range(mm.n_species):
+        w = p_rows[:, 0] * v[i, 0]
+        for j in range(1, mm.n_species):
+            w += p_rows[:, j] * v[i, j]
+        w /= denom
+        weights[rows, i] = w
+        row_sums = row_sums + w
+        col_sums[i] = w.sum()
+    diagnostics = {
+        "fit_iterations": it,
+        "fit_loglik": loglik,
+        "kkt_residual": residual,
+        "event_sum_residual": float(np.max(np.abs(row_sums - 1.0))),
+        "species_sum_residual": float(np.max(np.abs(col_sums - n)) / n.sum()),
+        "yield_standard_errors": np.sqrt(np.diag(v)).tolist(),
+    }
+    return weights, v, q, n, flagged, float(np.linalg.cond(q[live])), diagnostics
+
+
+def assert_same_bits_as_the_event_major_assembly(masses, mm):
+    weights, v, vinv, yields, flagged, cond, diagnostics = event_major_sweights(masses, mm)
+    table = compute_sweights(masses, mm)
+    for got, expected in [(table.weights, weights), (table.v, v), (table.vinv, vinv), (table.yields, yields)]:
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    np.testing.assert_array_equal(table.flagged_events, flagged)
+    assert table.condition_number == cond
+    assert repr(table.diagnostics()) == repr(diagnostics)
+    return table
+
+
+@pytest.mark.parametrize("n_flagged", [0, 5])
+@pytest.mark.parametrize("n_species", [2, 3])
+@pytest.mark.parametrize(
+    "n_kept", [1, _WEIGHT_BLOCK_ROWS - 1, _WEIGHT_BLOCK_ROWS, _WEIGHT_BLOCK_ROWS + 1, 2 * _WEIGHT_BLOCK_ROWS + 3]
+)
+def test_sweights_keep_the_bits_of_the_event_major_assembly(n_kept, n_species, n_flagged):
+    shapes = [TruncatedGaussian(4.0, 1.0, 0, 8), TruncatedExponential(0.4, 0, 8), Uniform(0, 8)][:n_species]
+    masses = sample_mixture(MixtureModel(shapes, [0.3, 0.5, 0.2][:n_species]), n_kept, seed=n_kept)
+    # out-of-support masses in the first and the last block and between them
+    at = np.linspace(0, n_kept, n_flagged).astype(int)
+    masses = np.insert(masses, at, [11.0, -3.0, 9.0, -0.5, 8.5][:n_flagged])
+    table = assert_same_bits_as_the_event_major_assembly(masses, MixtureModel(shapes, np.ones(n_species)))
+    assert table.flagged_events.size == n_flagged
+
+
+@pytest.mark.parametrize("n_flagged", [0, 3])
+def test_sweights_keep_the_bits_of_the_event_major_assembly_with_a_yield_at_0(n_flagged):
+    masses, mm = overlapping_three_species(0.5)
+    masses = np.insert(masses, [0, 500, 1000][:n_flagged], [2.0, -1.0, 1.5][:n_flagged])
+    table = assert_same_bits_as_the_event_major_assembly(masses, mm)
+    assert table.yields[2] == 0.0 and table.flagged_events.size == n_flagged
+
+
+@pytest.mark.parametrize("n_flagged, bound", [(0, 6.5), (3, 10.5)])
+def test_sweights_peak_near_the_columns_they_keep(n_flagged, bound):
+    # one column is n doubles; the table keeps 2 of densities and 2 of weights
+    n = 400_000
+    mm = canonical_mixture(0.5 * n, 0.5 * n)
+    masses = sample_mixture(mm, n, seed=3)
+    masses[[10, n // 2, n - 7][:n_flagged]] = [11.0, -3.0, 9.0][:n_flagged]
+    tracemalloc.start()
+    try:
+        table = compute_sweights(masses, mm)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    column = 8 * n
+    assert table.flagged_events.size == n_flagged
+    assert peak <= bound * column, peak / column
+    assert kept <= 4.01 * column, kept / column
+    # species-major: each species' weights and densities are one contiguous run
+    assert table.weights.T.flags.c_contiguous and table.densities.T.flags.c_contiguous
 
 
 def test_flagged_events_get_zero_weights():
