@@ -274,10 +274,11 @@ class MixtureModel:
 
     def denominator(self, p: np.ndarray) -> np.ndarray:
         """``sum_k N_k p[e, k]`` for a matrix of per-species density values."""
-        # ordered accumulation: bit-identical to a per-event loop over species
+        # ordered accumulation into the result through one scratch product: bit-identical to a per-event loop
         denom = p[:, 0] * self.yields[0]
+        term = np.empty_like(denom)
         for k in range(1, p.shape[1]):
-            denom = denom + p[:, k] * self.yields[k]
+            denom += np.multiply(p[:, k], self.yields[k], out=term)
         return denom
 
     def __repr__(self):

@@ -34,7 +34,7 @@ from splotlearn.data import generate_synthetic
 from splotlearn.density import Density1D
 from splotlearn.losses import LossInputError
 from splotlearn.model import METHODS
-from splotlearn.splot import SplotError
+from splotlearn.splot import _CSV_BLOCK_ROWS, SplotError, SWeightTable
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -477,6 +477,46 @@ def test_sweights_command(tmp_path):
     # per-event weights sum to one after the in-run yield fit
     row = [float(v) for v in lines[1].split(",")[1:]]
     assert abs(sum(row) - 1.0) < 1e-6
+
+
+def export_threads(monkeypatch):
+    """Record the ``threads`` of every sWeight table export."""
+    calls, to_csv = [], SWeightTable.to_csv
+
+    def recording(self, path, threads=1):
+        calls.append(threads)
+        return to_csv(self, path, threads)
+
+    monkeypatch.setattr(SWeightTable, "to_csv", recording)
+    return calls
+
+
+@pytest.mark.parametrize("source", ["synthetic", "csv-flagged"])
+def test_sweights_threads_write_the_same_bytes(tmp_path, monkeypatch, source):
+    n = 3 * _CSV_BLOCK_ROWS + 3
+    cfg = base_config(tmp_path / "out", n=n)
+    if source == "csv-flagged":  # masses off the support on both sides of the first block boundary
+        ds = generate_synthetic(n, 0.5, 7, n_features=2)
+        ds.m[[0, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, n - 1]] = [11.0, -3.0, 9.0, 11.0]
+        (tmp_path / "events.csv").write_bytes(events_csv(ds))
+        cfg = csv_config(tmp_path, tmp_path / "events.csv", n=n)
+    path = write_config(tmp_path, cfg)
+    calls = export_threads(monkeypatch)
+    for threads in ("1", "2", "3"):
+        assert main(["sweights", "--config", str(path), "--threads", threads, "--out", str(tmp_path / threads)]) == 0
+    assert calls == [1, 2, 3]
+    summary = json.loads((tmp_path / "1" / "sweights_summary.json").read_text())
+    assert summary["n_events"] == n and summary["n_flagged"] == (4 if source == "csv-flagged" else 0)
+    for threads in ("2", "3"):
+        for name in ["sweights.csv", "sweights_summary.json", "manifest.json"]:
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / threads / name).read_bytes(), (threads, name)
+
+
+def test_run_exports_its_sweights_on_one_thread(tmp_path, monkeypatch):
+    calls = export_threads(monkeypatch)
+    cfg = base_config(tmp_path / "out", n=600, steps=5)
+    assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--threads", "2"]) == 0
+    assert calls == [1]
 
 
 def test_demo_divergence_records_shared_init(tmp_path):

@@ -353,6 +353,41 @@ def test_the_best_constant_logit_of_the_exact_likelihood_in_a_cell_is_its_fitted
         assert abs(_sigmoid(z) - yields[0] / cell.size) <= 1e-12
 
 
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(
+    n=st.integers(2_000, 12_000),
+    signal_fraction=st.floats(0.15, 0.85),
+    seed=st.integers(0, 2**16),
+    shares=st.lists(st.integers(1, 4), min_size=2, max_size=6),
+)
+def test_the_cell_identities_hold_for_drawn_events_and_cells(n, signal_fraction, seed, shares):
+    # the three identities above, on cells of x0 cut at drawn shares of the events;
+    # a cell whose optimum lies at a logit of +-inf has none, so it is passed over
+    ds = generate_synthetic(n, signal_fraction, seed, n_features=1)
+    weighted, _ = attach_sweights(ds, canonical_mixture(signal_fraction * n, (1 - signal_fraction) * n))
+    order = np.argsort(weighted.X[:, 0], kind="stable")
+    cells = np.split(order, (np.cumsum(shares)[:-1] * weighted.n) // sum(shares))
+    shapes = canonical_mixture(1.0, 1.0).components
+    checked = 0
+    for cell in cells:
+        ws, wb = weighted.sweights[cell, 0], weighted.sweights[cell, 1]
+        mean = ws.mean()
+        if 0 < mean < 1:
+            z = constant_logit_root(lambda z: constrained_mse(np.full(cell.size, z), ws).grad.sum())
+            assert abs(_sigmoid(z) - mean) <= 1e-12
+            checked += 1
+        if 0 < mean < 1 and ws.sum() > 0 and wb.sum() > 0:
+            z = constant_logit_root(lambda z: weighted_ce(np.full(cell.size, z), ws, wb).grad.sum())
+            assert abs(_sigmoid(z) - mean) <= 1e-12
+        yields = fit_yields(weighted.m[cell], shapes, [0.5 * cell.size, 0.5 * cell.size], total=cell.size)
+        if 0 < yields[0] < cell.size:
+            ps, pb = weighted.ps[cell], weighted.pb[cell]
+            z = constant_logit_root(lambda z: _exact_likelihood(np.full(cell.size, z), ps, pb).grad.sum())
+            assert abs(_sigmoid(z) - yields[0] / cell.size) <= 1e-12
+            checked += 1
+    assert checked >= len(cells)
+
+
 def test_weighted_ce_keeps_falling_in_a_cell_with_negative_signal_weight(x0_cells):
     # the mass sideband of the lowest x0 cell: its events carry mostly negative signal weights
     weighted, cells = x0_cells

@@ -1,5 +1,9 @@
 """Covariance matrix, sWeights, yield fit, and their exact identities."""
 
+import concurrent.futures
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -375,6 +379,46 @@ def test_sweights_keep_the_bits_of_the_event_major_assembly_with_a_yield_at_0(n_
     assert table.yields[2] == 0.0 and table.flagged_events.size == n_flagged
 
 
+def summed_denominator(mm, p):
+    """``sum_k N_k p[e, k]`` with a new array for each species' product and each partial sum."""
+    denom = p[:, 0] * mm.yields[0]
+    for k in range(1, p.shape[1]):
+        denom = denom + p[:, k] * mm.yields[k]
+    return denom
+
+
+def denominator_inputs(n, n_species, n_flagged):
+    """A mixture with uneven yields and the densities of ``n`` of its masses, ``n_flagged`` of them off every support."""
+    shapes = [TruncatedGaussian(4.0, 1.0, 0, 8), TruncatedExponential(0.4, 0, 8), Uniform(0, 8)][:n_species]
+    mm = MixtureModel(shapes, np.random.default_rng(n_species).uniform(0.1, 3.0, n_species) * n)
+    masses = sample_mixture(mm, n, seed=n_species)
+    masses[np.linspace(0, n - 1, n_flagged).astype(int)] = [11.0, -3.0, 9.0, -0.5, 8.5][:n_flagged]
+    return mm, mm.component_densities(masses)
+
+
+@pytest.mark.parametrize("n_flagged", [0, 5])
+@pytest.mark.parametrize("n_species", [2, 3])
+def test_the_denominator_keeps_the_bits_of_the_summed_expression(n_species, n_flagged):
+    mm, p = denominator_inputs(10_000, n_species, n_flagged)
+    denom = mm.denominator(p)
+    assert denom.shape == (10_000,) and denom.tobytes() == summed_denominator(mm, p).tobytes()
+    assert np.count_nonzero(denom < DENOMINATOR_FLOOR) == n_flagged
+
+
+@pytest.mark.parametrize("n", [20_000, 100_000])
+@pytest.mark.parametrize("n_species", [2, 3])
+def test_the_denominator_allocates_at_most_two_event_long_arrays(n_species, n):
+    # below numpy's 256 KiB threshold for reusing a temporary operand, a new partial sum is a third array
+    mm, p = denominator_inputs(n, n_species, 0)
+    tracemalloc.start()
+    try:
+        mm.denominator(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * n + 4096, peak / (8 * n)
+
+
 @pytest.mark.parametrize("n_flagged, bound", [(0, 6.5), (3, 10.5)])
 def test_sweights_peak_near_the_columns_they_keep(n_flagged, bound):
     # one column is n doubles; the table keeps 2 of densities and 2 of weights
@@ -432,8 +476,9 @@ def reference_csv(table):
     return "\n".join(lines) + "\n"
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_sweights_csv_export_matches_per_row_format(tmp_path, k):
+def test_sweights_csv_export_matches_per_row_format(tmp_path, k, threads):
     n = _CSV_BLOCK_ROWS + 3
     weights = np.random.default_rng(k).standard_normal((n, k)) * 10.0 ** np.arange(-3, 3 * k - 3, 3)
     edge = [-0.0, 5e-324, 1e300, -1e300, 1 / 3]
@@ -444,18 +489,20 @@ def test_sweights_csv_export_matches_per_row_format(tmp_path, k):
     names = [f"s{j}" for j in range(k)]
     table = weights_only_table(weights, names, flagged)
     path = tmp_path / "sweights.csv"
-    table.to_csv(path)
+    table.to_csv(path, threads)
     assert path.read_bytes() == reference_csv(table).encode()
 
 
-def test_sweights_csv_export_of_no_events(tmp_path):
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_sweights_csv_export_of_no_events(tmp_path, threads):
     table = weights_only_table(np.zeros((0, 2)), ["signal", "background"], np.array([], dtype=int))
-    table.to_csv(tmp_path / "sweights.csv")
+    table.to_csv(tmp_path / "sweights.csv", threads)
     assert (tmp_path / "sweights.csv").read_text() == "event_index,sweight_signal,sweight_background\n"
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS + 1])
-def test_sweights_csv_export_of_fallback_zero_and_flagged_columns(tmp_path, n):
+def test_sweights_csv_export_of_fallback_zero_and_flagged_columns(tmp_path, n, threads):
     # a column written wholly by the per-value fallback, a species fitted to 0,
     # and zero rows on both sides of every block boundary
     rng = np.random.default_rng(n)
@@ -464,8 +511,97 @@ def test_sweights_csv_export_of_fallback_zero_and_flagged_columns(tmp_path, n):
     flagged = np.array([e for b in range(_CSV_BLOCK_ROWS, n + 1, _CSV_BLOCK_ROWS) for e in (b - 1, b) if e < n], dtype=int)
     weights[flagged] = 0.0
     table = weights_only_table(weights, ["a", "b", "c"], flagged)
-    table.to_csv(tmp_path / "sweights.csv")
+    table.to_csv(tmp_path / "sweights.csv", threads)
     assert (tmp_path / "sweights.csv").read_bytes() == reference_csv(table).encode()
+
+
+def test_a_threaded_csv_export_under_a_short_switch_interval_writes_the_serial_bytes(tmp_path, monkeypatch):
+    # the writer threads switch every microsecond, so a race between them would interleave or reorder rows
+    pools = []
+
+    class CountedPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
+    weights = np.random.default_rng(5).standard_normal((12 * _CSV_BLOCK_ROWS + 5, 2))
+    table = weights_only_table(weights, ["a", "b"], np.array([], dtype=int))
+    table.to_csv(tmp_path / "serial.csv")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        table.to_csv(tmp_path / "threaded.csv", threads=64)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (tmp_path / "threaded.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    weights_only_table(weights[:_CSV_BLOCK_ROWS], ["a", "b"], np.array([], dtype=int)).to_csv(tmp_path / "one.csv", 2)
+    assert pools == [2]  # capped at two threads, and one block is written without a pool
+
+
+class SlowFile:
+    """A binary file whose writes each take 5 ms, as on a slow disk."""
+
+    def __init__(self, path, mode):
+        self.file = open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+    def write(self, data):
+        time.sleep(0.005)
+        return self.file.write(data)
+
+
+def threaded_export_peak(tmp_path, blocks):
+    """The ``tracemalloc`` peak of a 2-thread export of ``blocks`` blocks to a slow file."""
+    table = weights_only_table(np.zeros((blocks * _CSV_BLOCK_ROWS, 2)), ["a", "b"], np.array([], dtype=int))
+    tracemalloc.start()
+    try:
+        table.to_csv(tmp_path / f"{blocks}.csv", threads=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_a_threaded_csv_export_holds_a_bounded_window_of_blocks(tmp_path, monkeypatch):
+    # the writer threads run ahead of the slow file; only the blocks in flight may be held.  Each block's text
+    # is a fresh 200 KB, about what 4096 rows of 2 species take, without the formatter's working arrays, whose
+    # overlap on the two threads is a matter of timing
+    monkeypatch.setattr(splot, "open", SlowFile, raising=False)
+    monkeypatch.setattr(splot, "_csv_rows", lambda index, w: bytes(50 * index.size))
+    small, large = threaded_export_peak(tmp_path, 8), threaded_export_peak(tmp_path, 64)
+    assert abs(large - small) < 2**20, (small, large)
+    assert (tmp_path / "64.csv").stat().st_size > 64 * _CSV_BLOCK_ROWS * 50
+
+
+def test_a_threaded_csv_export_raises_the_error_of_a_block(tmp_path, monkeypatch):
+    rows = splot._csv_rows
+
+    def failing_on_the_third_block(index, w):
+        if index[0] == 2 * _CSV_BLOCK_ROWS:
+            raise ValueError("third block")
+        return rows(index, w)
+
+    monkeypatch.setattr(splot, "_csv_rows", failing_on_the_third_block)
+    table = weights_only_table(np.ones((20 * _CSV_BLOCK_ROWS, 2)), ["a", "b"], np.array([], dtype=int))
+    errors = []
+
+    def export():
+        try:
+            table.to_csv(tmp_path / "sweights.csv", threads=2)
+        except ValueError as exc:
+            errors.append(exc)
+
+    writer = threading.Thread(target=export, daemon=True)
+    writer.start()
+    writer.join(timeout=30)
+    assert not writer.is_alive(), "the export hangs"
+    assert [str(e) for e in errors] == ["third block"]
 
 
 def csv_fields(values):
